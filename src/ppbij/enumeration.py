@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import kernels
-from .bijection import is_strict_tableau, phi_inverse
+from .bijection import phi_inverse
 from .core import NMatrix, Partition, PlanePartition, Word
 
 
@@ -107,12 +107,52 @@ def gen_words(n: int, m: int) -> Iterator[Word]:
 def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
     """All strict tableaux of shape lam with filling [n]: each value
     1..n occupies exactly one column.
+
+    Built row by row: each row is drawn from the row kernel
+    (`kernels.row_candidates`) under the row above, kept only if its
+    entries strictly decrease and every value stays in the column it
+    already holds, and a branch is cut once fewer cells remain than
+    values still unplaced.  The order is that of filtering all fillings
+    of lam (`gen_pp_shape`) for strict tableaux: rows in decreasing
+    lexicographic order, depth-first from the top row.
     """
     if lam and not lam.part(1) <= n <= lam.size():
         return
-    for pp in gen_pp_shape(lam, max(n, 1) if lam else 1):
-        if is_strict_tableau(pp, n):
-            yield pp
+    shape = lam.parts
+    column = [0] * (n + 1)  # column (1-based) of each value, 0 if unplaced
+    rows: list[tuple[int, ...]] = []
+
+    def fill(i: int, cells_left: int, unplaced: int):
+        if i == len(shape):
+            if not unplaced:
+                yield PlanePartition(rows)
+            return
+        width = shape[i]
+        cells_left -= width
+        bounds = rows[-1][:width] if rows else (n,) * width
+        for row in reversed(kernels.row_candidates(bounds, n * width)):
+            if len(row) != width:
+                continue
+            placed = []
+            for j, v in enumerate(row, 1):
+                if j > 1 and v == row[j - 2]:
+                    break
+                if column[v] == 0:
+                    placed.append((v, j))
+                elif column[v] != j:
+                    break
+            else:
+                if cells_left < unplaced - len(placed):
+                    continue
+                for v, j in placed:
+                    column[v] = j
+                rows.append(row)
+                yield from fill(i + 1, cells_left, unplaced - len(placed))
+                rows.pop()
+                for v, _ in placed:
+                    column[v] = 0
+
+    yield from fill(0, lam.size(), n)
 
 
 def f_lambda(lam: Partition, n: int) -> int:
@@ -196,18 +236,16 @@ def count_D_alpha(k: int | None, n: int, m: int, alpha: Sequence[int]) -> int:
     """The number of plane partitions in PP(k, n, m) whose value i sits in
     exactly alpha[i-1] columns, for i = 1..m.  k=None means unbounded row
     length; that case is counted through the matrix bijection (matrices
-    with column sums alpha), which keeps the family finite.
+    with column sums alpha), which keeps the family finite.  Only images
+    whose column counts are alpha are counted, so a faulty inverse map
+    shows as a wrong count.
     """
     alpha = tuple(alpha)
     if len(alpha) != m:
         raise ValueError("alpha must have length m")
     if k is None:
-        count = 0
-        for D in gen_matrices_column_sums(n, alpha):
-            pp = phi_inverse(D)
-            assert pp.column_counts(m) == alpha
-            count += 1
-        return count
+        return sum(1 for D in gen_matrices_column_sums(n, alpha)
+                   if phi_inverse(D).column_counts(m) == alpha)
     return sum(1 for pp in gen_pp_box(k, n, m) if pp.column_counts(m) == alpha)
 
 

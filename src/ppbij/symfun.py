@@ -40,21 +40,26 @@ def _weight(vals: Sequence[MultiPoly], exponents: Sequence[int]) -> MultiPoly:
     return w
 
 
+def _add_into(terms: dict[tuple[int, ...], int], p: MultiPoly) -> None:
+    """Add the terms of p into a running exponent -> coefficient dict."""
+    for exp, coef in p.terms.items():
+        terms[exp] = terms.get(exp, 0) + coef
+
+
 def schur_combinatorial(lam: Partition, xs: Sequence[MultiPoly]) -> MultiPoly:
     """The Schur polynomial of shape lam in the values xs, summed over
     column-strict fillings weighted by entry multiplicities.
     """
     if not xs:
         raise ValueError("need at least one value")
-    table = xs[0].table
     m = len(xs)
-    total = MultiPoly.zero(table)
+    terms: dict[tuple[int, ...], int] = {}
     for pp in gen_column_strict(lam, m):
         content = [0] * m
         for i, j in pp.cells():
             content[pp.entry(i, j) - 1] += 1
-        total = total + _weight(xs, content)
-    return total
+        _add_into(terms, _weight(xs, content))
+    return MultiPoly(xs[0].table, terms)
 
 
 def schur_specialized(lam: Partition, vals: Sequence[MultiPoly],
@@ -93,12 +98,11 @@ def g_combinatorial(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
     """
     if not zs:
         raise ValueError("need at least one value")
-    table = zs[0].table
     m = len(zs)
-    total = MultiPoly.zero(table)
+    terms: dict[tuple[int, ...], int] = {}
     for pp in gen_pp_shape(lam, m):
-        total = total + _weight(zs, pp.column_counts(m))
-    return total
+        _add_into(terms, _weight(zs, pp.column_counts(m)))
+    return MultiPoly(zs[0].table, terms)
 
 
 def g_refined(lam: Partition, n: int, m: int,
@@ -111,16 +115,17 @@ def g_refined(lam: Partition, n: int, m: int,
     """
     if table is None:
         table = VarTable([("x", n), ("z", m)])
-    total = MultiPoly.zero(table)
     if len(lam) > n:
-        return total
+        return MultiPoly.zero(table)
+    terms: dict[tuple[int, ...], int] = {}
     for pp in gen_pp_shape(lam, m):
         exp = [0] * table.nvars
         for i, j in pp.descent_set():
             exp[table.index("x", i)] += 1
             exp[table.index("z", pp.entry(i, j))] += 1
-        total = total + MultiPoly(table, {tuple(exp): 1})
-    return total
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + 1
+    return MultiPoly(table, terms)
 
 
 def g_jacobi_trudi(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:

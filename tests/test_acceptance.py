@@ -168,3 +168,15 @@ def test_15_full_small_suite_via_cli():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
     assert elapsed < 300.0
+
+
+def test_16_full_suite_via_cli():
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppbij.cli", "verify", "all",
+         "--level", "full"],
+        capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+    assert elapsed < 300.0

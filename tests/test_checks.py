@@ -2,6 +2,7 @@
 
 import pytest
 
+from ppbij.bijection import phi_inverse
 from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     check_corner_volume, check_dalpha, check_equidistribution, \
     check_frobenius, check_gexp, check_gl, check_greene, \
@@ -107,6 +108,19 @@ class TestMutationSensitivity:
         monkeypatch.setattr(PlanePartition, "descent_set", weak)
         r = check_uh_des(2, 2, 4)
         assert not r.passed
+
+
+    def test_wrong_inverse_map_fails_dalpha(self, monkeypatch):
+        # lower every entry of the inverse image by one (zeros trimmed);
+        # the unbounded product-formula side must count the mismatches
+        def shifted(D):
+            return PlanePartition([[v - 1 for v in row]
+                                   for row in phi_inverse(D).rows])
+
+        monkeypatch.setattr("ppbij.enumeration.phi_inverse", shifted)
+        r = check_dalpha(2, 2, 2, 2)
+        assert r.passed is False
+        assert r.first_diff[0] == "product_formula_failures"
 
 
 class TestResultObject:

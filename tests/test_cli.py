@@ -99,6 +99,14 @@ class TestEnumerate:
                            "--n", "3")
         assert code == 0 and out.strip() == "2"
 
+    def test_strict_tableaux_listing_golden(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "st", "--shape", "3,2",
+                           "--n", "4", "--list")
+        assert code == 0
+        assert out == ("[[4, 3, 2], [4, 1]]\n"
+                       "[[4, 3, 1], [4, 2]]\n"
+                       "[[4, 2, 1], [3, 2]]\n")
+
     def test_listing_sorted_stable(self, capsys):
         _, out1, _ = run(capsys, "enumerate", "box", "1", "2", "1", "--list")
         _, out2, _ = run(capsys, "enumerate", "box", "1", "2", "1", "--list")

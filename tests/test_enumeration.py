@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppbij.bijection import is_strict_tableau
 from ppbij.core import Partition, PlanePartition
 from ppbij.enumeration import BoxSpec, compositions, count_D_alpha, dominates, \
     f_lambda, gen_column_strict, gen_matrices, gen_matrices_column_sums, \
@@ -114,19 +115,36 @@ class TestMatricesAndWords:
         assert sum(1 for _ in gen_matrices_column_sums(2, (2, 1))) == 6
 
 
+def strict_tableaux_by_filter(lam, n):
+    """Reference: every filling of lam with entries <= n, filtered for
+    strict tableaux.
+    """
+    if lam and not lam.part(1) <= n <= lam.size():
+        return []
+    return [pp for pp in gen_pp_shape(lam, max(n, 1) if lam else 1)
+            if is_strict_tableau(pp, n)]
+
+
 class TestStrictTableaux:
     def test_golden_counts(self):
         assert f_lambda(Partition([2, 1]), 3) == 2
         assert f_lambda(Partition([1]), 1) == 1
         assert f_lambda(Partition(), 0) == 1
+        assert f_lambda(Partition(), 2) == 0
         assert f_lambda(Partition([2]), 1) == 0
 
+    def test_matches_filter_in_order(self):
+        for n in range(0, 5):
+            for lam in gen_partitions_in_box(n, 4):
+                assert list(gen_strict_tableaux(lam, n)) == \
+                    strict_tableaux_by_filter(lam, n), (lam, n)
+
     def test_sum_over_shapes(self):
-        for n in range(1, 4):
-            for m in range(1, 4):
-                total = sum(f_lambda(lam, n)
-                            for lam in gen_partitions_in_box(n, m))
-                assert total == m ** n
+        cases = [(n, m) for n in range(1, 4) for m in range(1, 4)]
+        for n, m in cases + [(5, 4), (6, 3)]:
+            total = sum(f_lambda(lam, n)
+                        for lam in gen_partitions_in_box(n, m))
+            assert total == m ** n
 
     def test_members_are_strict(self):
         for st in gen_strict_tableaux(Partition([3, 2]), 4):
