@@ -1,19 +1,11 @@
-"""Compare the compiled and pure-Python kernel backends on the hot
-enumeration paths.
-
-Run as: python benchmarks/bench_kernels.py [--repeat 3]
+"""The four kernel loads: enumeration and inverse-map loops on the
+pure-Python kernels, each returning a count that fixes how much work it
+did.  `perfbench/micro.py` times them; call one as `bench_pp_box(_pure)`.
 """
 
-import argparse
 import itertools
-import time
 
-from ppbij.kernels import _pure
-
-try:
-    from ppbij.kernels import _speed
-except ImportError:
-    _speed = None
+from ppbij.kernels import _pure  # noqa: F401
 
 
 def bench_pp_box(mod):
@@ -38,43 +30,3 @@ def bench_lis(mod):
     for letters in itertools.product(range(1, 5), repeat=8):
         total += mod.lis_tail(letters, 4, 2)
     return total
-
-
-WORKLOADS = [
-    ("pp_box 4x4x4", bench_pp_box),
-    ("weighted matrices + inverse", bench_matrices),
-    ("shape fillings (4,4,3) m=4", bench_shape),
-    ("lis_tail over 4^8 words", bench_lis),
-]
-
-
-def timed(fn, mod, repeat):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn(mod)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--repeat", type=int, default=3)
-    args = parser.parse_args()
-
-    if _speed is None:
-        print("compiled backend not built; nothing to compare")
-        return
-
-    print(f"{'workload':<32} {'pure':>9} {'compiled':>9} {'speedup':>8}")
-    for name, fn in WORKLOADS:
-        t_pure, r_pure = timed(fn, _pure, args.repeat)
-        t_fast, r_fast = timed(fn, _speed, args.repeat)
-        assert r_pure == r_fast, f"backend disagreement on {name}"
-        print(f"{name:<32} {t_pure:>8.3f}s {t_fast:>8.3f}s "
-              f"{t_pure / t_fast:>7.1f}x")
-
-
-if __name__ == "__main__":
-    main()

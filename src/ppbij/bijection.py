@@ -36,17 +36,7 @@ def add_entry_in_row(pp: PlanePartition, level: int, i: int) -> PlanePartition:
         raise ValueError("level and row index must be positive")
     cols = [[pp.entry(r, c) for r in range(1, pp.n_rows() + 1) if pp.entry(r, c)]
             for c in range(1, (len(pp.rows[0]) if pp.rows else 0) + 1)]
-    target = None
-    for c in cols:
-        if len(c) < i:
-            target = c
-            break
-    if target is None:
-        target = []
-        cols.append(target)
-    if target and target[-1] < level:
-        raise ValueError("invalid insertion")
-    target.extend([level] * (i - len(target)))
+    kernels.insert_column(cols, level, i)
     n_rows = max(len(c) for c in cols)
     rows = [[c[r] for c in cols if len(c) > r] for r in range(n_rows)]
     try:

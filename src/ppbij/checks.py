@@ -131,33 +131,48 @@ def _tq_series(items, pair_stat) -> MultiPoly:
 # -- individual checks -------------------------------------------------
 
 
+def _box_exponents(k: int, n: int, m: int) -> list[tuple[int, int]]:
+    """(i+j+l-1, i+j+l-2) for each cell (i, j, l) of the k x n x m box:
+    the exponents of MacMahon's product prod (1-q^a)/(1-q^b).
+    """
+    return [(i + j + l - 1, i + j + l - 2)
+            for i in range(1, k + 1)
+            for j in range(1, n + 1)
+            for l in range(1, m + 1)]
+
+
+def macmahon_count(k: int, n: int, m: int) -> Fraction:
+    """The number of plane partitions in the k x n x m box, from
+    MacMahon's product formula prod (i+j+l-1)/(i+j+l-2).
+
+    Kept as a Fraction so that a non-integer product shows up as a
+    mismatch in check_macmahon_box instead of being rounded away.
+    """
+    count = Fraction(1)
+    for a, b in _box_exponents(k, n, m):
+        count *= Fraction(a, b)
+    return count
+
+
 def check_macmahon_box(k: int, n: int, m: int) -> CheckResult:
     """Volume generating polynomial and cardinality of the boxed family
     against the classical product formulas.
     """
     t0 = time.perf_counter()
-    pps = list(gen_pp_box(k, n, m))
-    lhs_poly = _q_series(pps, PlanePartition.volume)
+    lhs_poly = _q_series(gen_pp_box(k, n, m), PlanePartition.volume)
+    count_lhs = sum(lhs_poly.terms.values())
 
-    deg = k * n * m
-    trunc = Truncation(max_total=deg)
-    exps = [(i + j + l - 1, i + j + l - 2)
-            for i in range(1, k + 1)
-            for j in range(1, n + 1)
-            for l in range(1, m + 1)]
+    trunc = Truncation(max_total=k * n * m)
+    exps = _box_exponents(k, n, m)
     rhs_poly = MultiPoly.one(_QT)
     for a, _ in exps:
         rhs_poly = rhs_poly.mul_truncated(MultiPoly.one(_QT) - _q(a), trunc)
     rhs_poly = rhs_poly.mul_truncated(
         product_series([(_q(b), 1) for _, b in exps], trunc), trunc)
 
-    count_rhs = Fraction(1)
-    for a, b in exps:
-        count_rhs *= Fraction(a, b)
-
     return _build("macmahon_box", {"k": k, "n": n, "m": m},
                   [("q_poly", lhs_poly, rhs_poly),
-                   ("count", len(pps), count_rhs)], t0)
+                   ("count", count_lhs, macmahon_count(k, n, m))], t0)
 
 
 def check_infinite_volume(N: int) -> CheckResult:
@@ -616,10 +631,28 @@ def load_grids() -> dict:
 
 
 def _run_entry(entry: dict) -> CheckResult:
+    """Run one grid entry.  A check that raises becomes a FAIL record
+    carrying the exception, so one broken entry does not abort the run.
+    """
+    t0 = time.perf_counter()
+    fn = CHECKS[entry["check"]]
     params = dict(entry["params"])
     if entry["check"] == "gexp":
         params["lam"] = Partition(params.pop("lambda"))
-    return CHECKS[entry["check"]](**params)
+    try:
+        return fn(**params)
+    except Exception as exc:
+        import traceback
+        return CheckResult(
+            check_name=entry["check"],
+            parameters=dict(entry["params"]),
+            passed=False,
+            lhs_summary="",
+            rhs_summary="",
+            first_diff=None,
+            elapsed=time.perf_counter() - t0,
+            notes=[f"{type(exc).__name__}: {exc}", traceback.format_exc()],
+        )
 
 
 def run_all(level: str = "small", workers: int = 1) -> list[CheckResult]:

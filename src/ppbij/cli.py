@@ -17,7 +17,7 @@ import sys
 
 from .bijection import greene_shape, lis_tail, phi, phi_inverse, \
     word_to_strict_tableau
-from .checks import CHECKS, CheckResult, run_all
+from .checks import CHECKS, CheckResult, macmahon_count, run_all
 from .core import NMatrix, Partition, PlanePartition, Word
 from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
     gen_strict_tableaux, gen_words
@@ -27,6 +27,13 @@ from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
 CAP_BOX = 5
 CAP_N = 12
 CAP_WORD = 10
+# Boxes are also capped by their exact size (MacMahon's product), since
+# 5x5x5 passes CAP_BOX but holds 267,227,532 plane partitions; 10**6
+# admits 4x4x4 (232,848) and 3x5x5 (731,808).
+CAP_BOX_COUNT = 10 ** 6
+# gexp builds dual Grothendieck polynomials in up to n_max variables:
+# n_max = 8 takes seconds, 9 over a minute.
+CAP_GEXP_N = 8
 
 
 class UsageError(Exception):
@@ -37,21 +44,28 @@ class DomainError(Exception):
     """Structurally valid input outside an operation's domain: exit 1."""
 
 
-def _check_caps(args, dims=(), N=None, word_len=None):
+def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None):
+    """Raise UsageError for the first parameter over its cap, unless
+    --unsafe-no-caps was given.  `box` is a (k, n, m) triple whose plane
+    partitions the command enumerates.
+    """
     if getattr(args, "unsafe_no_caps", False):
         return
+
+    def cap(what, value, limit):
+        if value is not None and value > limit:
+            raise UsageError(f"{what} exceeds the cap {limit}; "
+                             "pass --unsafe-no-caps to override")
+
     for name, value in dims:
-        if value is not None and value > CAP_BOX:
-            raise UsageError(
-                f"{name}={value} exceeds the cap {CAP_BOX}; "
-                "pass --unsafe-no-caps to override")
-    if N is not None and N > CAP_N:
-        raise UsageError(
-            f"N={N} exceeds the cap {CAP_N}; pass --unsafe-no-caps to override")
-    if word_len is not None and word_len > CAP_WORD:
-        raise UsageError(
-            f"word length {word_len} exceeds the cap {CAP_WORD}; "
-            "pass --unsafe-no-caps to override")
+        cap(f"{name}={value}", value, CAP_BOX)
+    cap(f"N={N}", N, CAP_N)
+    cap(f"word length {word_len}", word_len, CAP_WORD)
+    cap(f"n_max={n_max}", n_max, CAP_GEXP_N)
+    if box is not None:
+        count = macmahon_count(*box)
+        cap("the {}x{}x{} box's plane-partition count {}".format(*box, count),
+            count, CAP_BOX_COUNT)
 
 
 def _read_input(args, flag: str):
@@ -185,7 +199,8 @@ def cmd_enumerate(args) -> int:
         if len(args.dims) != 3:
             raise UsageError("enumerate box needs three dimensions: k n m")
         k, n, m = args.dims
-        _check_caps(args, dims=[("k", k), ("n", n), ("m", m)])
+        _check_caps(args, dims=[("k", k), ("n", n), ("m", m)],
+                    box=(k, n, m))
         items = list(gen_pp_box(k, n, m))
     elif args.family == "shape":
         if args.shape is None or args.m is None:
@@ -250,7 +265,8 @@ def cmd_dalpha(args) -> int:
     if len(alpha) != args.m:
         raise UsageError("--alpha must have exactly m components")
     _check_caps(args, dims=[("k", args.k), ("n", args.n), ("m", args.m)],
-                N=sum(alpha))
+                N=sum(alpha),
+                box=None if args.k is None else (args.k, args.n, args.m))
     count = count_D_alpha(args.k, args.n, args.m, alpha)
     _emit(args, [str(count)],
           {"k": args.k, "n": args.n, "m": args.m,
@@ -285,6 +301,8 @@ def _render_result(r: CheckResult, as_json: bool) -> str:
     line = f"{status} {r.check_name} {params} ({r.elapsed:.3f}s)"
     if r.first_diff:
         line += f"  diff {r.first_diff[0]}: {r.first_diff[1]} != {r.first_diff[2]}"
+    elif not r.passed and r.notes:
+        line += f"  {r.notes[0]}"
     return line
 
 
@@ -313,8 +331,16 @@ def cmd_verify(args) -> int:
         if missing:
             raise UsageError(
                 f"check {args.name!r} needs: {', '.join(sorted(missing))}")
-        _check_caps(args, dims=[(d, supplied.get(d)) for d in ("k", "n", "m")],
-                    N=supplied.get("N", supplied.get("N_max")))
+        box = tuple(supplied.get(d) for d in ("k", "n", "m"))
+        dims = list(zip(("k", "n", "m"), box))
+        lam = supplied.get("lam")
+        if lam is not None:
+            dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
+        _check_caps(args, dims=dims,
+                    N=supplied.get("N", supplied.get("N_max")),
+                    box=None if None in box else box,
+                    n_max=None if lam is None
+                    else supplied.get("n_max", lam.size()))
         results = [fn(**supplied)]
     for r in results:
         print(_render_result(r, args.json))

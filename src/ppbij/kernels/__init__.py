@@ -1,28 +1,20 @@
-"""Kernel backend selection.
+"""The enumeration and bijection inner loops, on plain tuples.
 
-The compiled Cython backend (ppbij.kernels._speed) is used when available;
-otherwise the pure-Python backend is a drop-in replacement.  Setting the
-environment variable PPBIJ_PURE=1 forces the pure backend, which the
-benchmark and the parity tests rely on.
+There is one backend, the pure-Python one in ppbij.kernels._pure; this
+package re-exports it.  BACKEND names it for the run headers.
 """
 
-import os
+from ._pure import BACKEND, insert_column, lis_tail, matrices_weighted, \
+    phi_counts, phi_inverse_rows, pp_box, pp_shape, row_candidates
 
-from . import _pure
-
-if os.environ.get("PPBIJ_PURE"):
-    _impl = _pure
-else:
-    try:
-        from . import _speed as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = _impl.BACKEND
-pp_box = _impl.pp_box
-pp_shape = _impl.pp_shape
-matrices_weighted = _impl.matrices_weighted
-phi_counts = _impl.phi_counts
-phi_inverse_rows = _impl.phi_inverse_rows
-lis_tail = _impl.lis_tail
-row_candidates = _impl.row_candidates
+__all__ = [
+    "BACKEND",
+    "insert_column",
+    "lis_tail",
+    "matrices_weighted",
+    "phi_counts",
+    "phi_inverse_rows",
+    "pp_box",
+    "pp_shape",
+    "row_candidates",
+]

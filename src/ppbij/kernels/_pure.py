@@ -1,9 +1,9 @@
 """Pure-Python kernels for the enumeration and bijection inner loops.
 
 These functions work on plain tuples (rows of a plane partition as a tuple
-of tuples, matrices as a tuple of row tuples) so that the compiled backend
-in _speed.pyx can share the exact same interface.  Wrapping into the value
-types of ppbij.core happens in the calling modules.
+of tuples, matrices as a tuple of row tuples), so that the hot loops build
+no value objects.  Wrapping into the value types of ppbij.core happens in
+the calling modules.
 """
 
 BACKEND = "pure"
@@ -141,30 +141,37 @@ def phi_counts(rows, n, m):
     return tuple(tuple(r) for r in d)
 
 
+def insert_column(cols, level, i):
+    """One insertion step of the inverse map, in place on `cols` (a list
+    of column lists, each weakly decreasing from the top): fill the
+    leftmost column of length < i with `level` up to length i, opening a
+    new column on the right when every column is at least i long.
+
+    Raises ValueError("invalid insertion") if that column ends in a value
+    below `level`.
+    """
+    for c in cols:
+        if len(c) < i:
+            if c and c[-1] < level:
+                raise ValueError("invalid insertion")
+            c.extend([level] * (i - len(c)))
+            return
+    cols.append([level] * i)
+
+
 def phi_inverse_rows(entries, n, m):
     """Invert the descent-level-count map: rebuild the unique plane
     partition (row tuples) with at most n rows and entries <= m whose
     count matrix is `entries`.
 
     Scan order: value column l = m..1, row index i = n..1, one single
-    insertion per unit of d[i][l].  Each insertion fills the leftmost
-    column of length < i up to length i with the value l.
+    insertion (insert_column) per unit of d[i][l].
     """
     cols = []
     for l in range(m, 0, -1):
         for i in range(n, 0, -1):
             for _ in range(entries[i - 1][l - 1]):
-                target = None
-                for c in cols:
-                    if len(c) < i:
-                        target = c
-                        break
-                if target is None:
-                    target = []
-                    cols.append(target)
-                if target and target[-1] < l:
-                    raise ValueError("invalid insertion")
-                target.extend([l] * (i - len(target)))
+                insert_column(cols, l, i)
     n_rows = max((len(c) for c in cols), default=0)
     return tuple(
         tuple(c[r] for c in cols if len(c) > r) for r in range(n_rows)

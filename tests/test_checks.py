@@ -9,6 +9,7 @@ from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     check_infinite_volume, check_macmahon_box, check_multivariate, \
     check_qschur, check_superadditivity, check_uh_des, check_uh_restricted, \
     load_grids, run_all
+from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition
 from ppbij.poly import MultiPoly, VarTable
 
@@ -161,3 +162,20 @@ class TestSuite:
         parallel = [r.to_json() for r in run_all("small", workers=4)]
         strip = lambda d: {k: v for k, v in d.items() if k != "elapsed"}
         assert [strip(d) for d in serial] == [strip(d) for d in parallel]
+
+    def test_raising_check_becomes_fail_record(self, monkeypatch, capsys):
+        def boom(**params):
+            raise RuntimeError("injected")
+
+        monkeypatch.setitem(CHECKS, "greene", boom)
+        results = run_all("small")
+        assert len(results) == len(load_grids()["small"]) == 117
+        failed = [r for r in results if not r.passed]
+        assert failed and all(r.check_name == "greene" for r in failed)
+        assert len(failed) == sum(r.check_name == "greene" for r in results)
+        for r in failed:
+            assert r.first_diff is None
+            assert r.notes[0] == "RuntimeError: injected"
+
+        assert main(["verify", "all"]) == 1
+        assert "FAIL greene" in capsys.readouterr().out

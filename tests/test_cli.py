@@ -119,6 +119,18 @@ class TestEnumerate:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "box", "5", "5", "5"],
+        ["enumerate", "box", "4", "4", "5"],
+        ["verify", "qschur", "--k", "5", "--n", "5", "--m", "5"],
+        ["dalpha", "--alpha", "1,1,1,1,1", "--k", "5", "--n", "5",
+         "--m", "5"],
+    ])
+    def test_box_size_cap(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "cap" in err
+
     def test_caps_escape_hatch(self, capsys):
         code, out, _ = run(capsys, "enumerate", "box", "6", "1", "1",
                            "--unsafe-no-caps")
@@ -171,6 +183,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "macmahon_box", "--k", "2")
         assert code == 2
         assert "needs" in err
+
+    @pytest.mark.parametrize("shape", ["6,6,6", "3,3,3"])
+    def test_gexp_caps(self, capsys, shape):
+        code, _, err = run(capsys, "verify", "gexp", "--shape", shape)
+        assert code == 2
+        assert "cap" in err
 
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "verify", "gl", "--n", "2", "--m", "2",

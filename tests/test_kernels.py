@@ -1,80 +1,12 @@
-"""Parity between the compiled and pure-Python kernel backends."""
-
-import os
-import subprocess
-import sys
-
-import pytest
+"""The kernel package's exports."""
 
 from ppbij import kernels
-from ppbij.kernels import _pure
-
-try:
-    from ppbij.kernels import _speed
-except ImportError:
-    _speed = None
-
-needs_compiled = pytest.mark.skipif(_speed is None,
-                                    reason="compiled backend not built")
 
 
 class TestSelection:
     def test_backend_reexports(self):
-        assert kernels.BACKEND in ("pure", "compiled")
+        assert kernels.BACKEND == "pure"
         for name in ("row_candidates", "pp_box", "pp_shape",
                      "matrices_weighted", "phi_counts", "phi_inverse_rows",
-                     "lis_tail"):
+                     "insert_column", "lis_tail"):
             assert hasattr(kernels, name)
-
-    def test_env_var_forces_pure(self):
-        code = "import ppbij.kernels as k; print(k.BACKEND)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PPBIJ_PURE": "1"},
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "pure"
-
-
-@needs_compiled
-class TestParity:
-    def test_row_candidates(self):
-        for bounds in ((3,), (2, 2), (3, 2, 1), (1, 1, 1, 1)):
-            for cap in range(0, 8):
-                assert _pure.row_candidates(bounds, cap) == \
-                    _speed.row_candidates(bounds, cap)
-
-    def test_pp_box(self):
-        for k, n, m in ((1, 1, 1), (2, 2, 2), (3, 2, 3), (2, 3, 1)):
-            assert _pure.pp_box(k, n, m) == _speed.pp_box(k, n, m)
-            assert _pure.pp_box(k, n, m, 3) == _speed.pp_box(k, n, m, 3)
-
-    def test_pp_shape(self):
-        for shape in ((), (2,), (2, 1), (3, 3), (2, 2, 1)):
-            for m in (1, 2, 3):
-                for strict in (False, True):
-                    assert _pure.pp_shape(shape, m, strict) == \
-                        _speed.pp_shape(shape, m, strict)
-
-    def test_matrices_weighted(self):
-        weights = ((1, 2), (2, 3))
-        for bound in range(0, 6):
-            assert _pure.matrices_weighted(2, 2, weights, bound) == \
-                _speed.matrices_weighted(2, 2, weights, bound)
-        with pytest.raises(ValueError):
-            _speed.matrices_weighted(1, 1, ((0,),), 2)
-
-    def test_phi_roundtrip_pair(self):
-        for rows in _pure.pp_box(3, 3, 3):
-            assert _pure.phi_counts(rows, 3, 3) == \
-                _speed.phi_counts(rows, 3, 3)
-        for entries in _pure.matrices_weighted(
-                2, 3, ((1,) * 3,) * 2, 4):
-            assert _pure.phi_inverse_rows(entries, 2, 3) == \
-                _speed.phi_inverse_rows(entries, 2, 3)
-
-    def test_lis_tail(self):
-        import itertools
-        for letters in itertools.product(range(1, 4), repeat=5):
-            for i in (1, 2, 3):
-                assert _pure.lis_tail(letters, 3, i) == \
-                    _speed.lis_tail(letters, 3, i)
