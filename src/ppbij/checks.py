@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -28,8 +29,9 @@ from .enumeration import compositions, count_D_alpha, dominates, f_lambda, \
     gen_matrices, gen_partitions_in_box, gen_pp_box, gen_pp_exact, gen_words, \
     kostka, skew_schur_ones
 from .poly import MultiPoly, Truncation, VarTable, product_series
-from .symfun import family_vars, g_combinatorial, g_jacobi_trudi, g_refined, \
-    ones, q_powers, schur_specialized, square_free_coefficient
+from .symfun import descent_monomial, family_vars, g_combinatorial, \
+    g_jacobi_trudi, g_refined, ones, q_powers, schur_specialized, \
+    square_free_coefficient
 
 
 @dataclass
@@ -113,19 +115,11 @@ def _q(power: int = 1) -> MultiPoly:
 
 
 def _q_series(pps, stat: Callable[[PlanePartition], int]) -> MultiPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for pp in pps:
-        exp = (stat(pp),)
-        terms[exp] = terms.get(exp, 0) + 1
-    return MultiPoly(_QT, terms)
+    return MultiPoly(_QT, Counter((stat(pp),) for pp in pps))
 
 
 def _tq_series(items, pair_stat) -> MultiPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for it in items:
-        a, b = pair_stat(it)
-        terms[(a, b)] = terms.get((a, b), 0) + 1
-    return MultiPoly(_TQT, terms)
+    return MultiPoly(_TQT, Counter(pair_stat(it) for it in items))
 
 
 # -- individual checks -------------------------------------------------
@@ -203,14 +197,6 @@ def check_qschur(k: int, n: int, m: int) -> CheckResult:
     return _build("qschur", {"k": k, "n": n, "m": m}, [("q_poly", lhs, rhs)], t0)
 
 
-def _descent_monomial(table: VarTable, pp: PlanePartition) -> tuple[int, ...]:
-    exp = [0] * table.nvars
-    for i, j in pp.descent_set():
-        exp[table.index("x", i)] += 1
-        exp[table.index("z", pp.entry(i, j))] += 1
-    return tuple(exp)
-
-
 def check_multivariate(n: int, m: int, N: int) -> CheckResult:
     """The two-alphabet descent generating function over all plane
     partitions with at most n rows and entries <= m, against the product
@@ -221,12 +207,9 @@ def check_multivariate(n: int, m: int, N: int) -> CheckResult:
     trunc = Truncation(max_total=N)
 
     def lhs_at(window: int) -> MultiPoly:
-        terms: dict[tuple[int, ...], int] = {}
-        for D in gen_matrices(n, m, window):
-            exp = _descent_monomial(table, phi_inverse(D))
-            if trunc.keeps(table, exp):
-                terms[exp] = terms.get(exp, 0) + 1
-        return MultiPoly(table, terms)
+        return MultiPoly(table, Counter(
+            descent_monomial(table, phi_inverse(D))
+            for D in gen_matrices(n, m, window))).truncate(trunc)
 
     lhs = lhs_at(N // 2)
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
@@ -251,10 +234,10 @@ def check_cauchy_type(n: int, m: int, N: int) -> CheckResult:
     trunc = Truncation(max_total=N)
 
     def lhs_at(width: int) -> MultiPoly:
-        total = MultiPoly.zero(table)
+        terms: Counter[tuple[int, ...]] = Counter()
         for lam in gen_partitions_in_box(width, n):
-            total = total + g_refined(lam, n, m, table)
-        return total.truncate(trunc)
+            terms.update(g_refined(lam, n, m, table).terms)
+        return MultiPoly(table, terms).truncate(trunc)
 
     lhs = lhs_at(N // 2)
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
@@ -274,10 +257,10 @@ def check_gl(n: int, m: int, N: int) -> CheckResult:
     trunc = Truncation(max_total=N)
 
     def lhs_at(width: int) -> MultiPoly:
-        total = MultiPoly.zero(table)
+        terms: Counter[tuple[int, ...]] = Counter()
         for lam in gen_partitions_in_box(width, n):
-            total = total + g_combinatorial(lam, zs)
-        return total.truncate(trunc)
+            terms.update(g_combinatorial(lam, zs).terms)
+        return MultiPoly(table, terms).truncate(trunc)
 
     lhs = lhs_at(N)
     rhs = product_series([(z, n) for z in zs], trunc)
@@ -481,13 +464,7 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
     C(n+N, N) and C(n+N-1, N)).
     """
     t0 = time.perf_counter()
-    counts: dict[tuple[int, ...], int] = {}
-    for pp in gen_pp_box(k, n, m):
-        key = pp.column_counts(m)
-        counts[key] = counts.get(key, 0) + 1
-
-    def D(alpha: tuple[int, ...]) -> int:
-        return counts.get(alpha, 0)
+    D = Counter(pp.column_counts(m) for pp in gen_pp_box(k, n, m))
 
     rho = Partition.rectangle(k, n)
     shapes = list(gen_partitions_in_box(k, n))
@@ -499,9 +476,9 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
 
     for w, alphas in alphas_by_weight.items():
         for alpha in alphas:
-            da = D(alpha)
+            da = D[alpha]
             sorted_a = tuple(sorted(alpha, reverse=True))
-            if da != D(sorted_a):
+            if da != D[sorted_a]:
                 sym_fail += 1
             expansion = sum(kostka(lam, alpha) * skew_schur_ones(rho, lam, n)
                             for lam in shapes)
@@ -519,16 +496,16 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
                 # symmetry law the counts only depend on those
                 sa = tuple(sorted(alpha, reverse=True))
                 sb = tuple(sorted(beta, reverse=True))
-                if sb != sa and dominates(sb, sa) and D(alpha) < D(beta):
+                if sb != sa and dominates(sb, sa) and D[alpha] < D[beta]:
                     mono_fail += 1
 
     notes = []
     for N in range(1, min(k, m, N_max) + 1):
         single = tuple([N] + [0] * (m - 1))
         ones_vec = tuple([1] * N + [0] * (m - N))
-        lo, mid_hi = D(single), D(ones_vec)
+        lo, mid_hi = D[single], D[ones_vec]
         for alpha in alphas_by_weight[N]:
-            if not lo <= D(alpha) <= mid_hi <= n ** N:
+            if not lo <= D[alpha] <= mid_hi <= n ** N:
                 chain_fail += 1
         printed = math.comb(n + N, N)
         shifted = math.comb(n + N - 1, N)

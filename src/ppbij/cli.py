@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import sys
+from collections import Counter
 
 from .bijection import greene_shape, lis_tail, phi, phi_inverse, \
     word_to_strict_tableau
@@ -34,6 +35,12 @@ CAP_BOX_COUNT = 10 ** 6
 # gexp builds dual Grothendieck polynomials in up to n_max variables:
 # n_max = 8 takes seconds, 9 over a minute.
 CAP_GEXP_N = 8
+# Words are capped by their count m^n: 5^10 passes CAP_WORD and CAP_BOX
+# but lists 9,765,625 words; 10**6 admits 5^8 (390,625).
+CAP_WORD_COUNT = 10 ** 6
+# superadditivity loops over all ordered pairs of the box (~170 us a
+# pair): 10**5 admits 2x3x3 (30,625 pairs), not 3x3x3 (960,400).
+CAP_BOX_PAIRS = 10 ** 5
 
 
 class UsageError(Exception):
@@ -44,10 +51,12 @@ class DomainError(Exception):
     """Structurally valid input outside an operation's domain: exit 1."""
 
 
-def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None):
+def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
+                words=None, box_pairs=False):
     """Raise UsageError for the first parameter over its cap, unless
     --unsafe-no-caps was given.  `box` is a (k, n, m) triple whose plane
-    partitions the command enumerates.
+    partitions the command enumerates, all pairs of them if `box_pairs`;
+    `words` is an (n, m) pair whose m^n words it enumerates.
     """
     if getattr(args, "unsafe_no_caps", False):
         return
@@ -62,10 +71,16 @@ def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None):
     cap(f"N={N}", N, CAP_N)
     cap(f"word length {word_len}", word_len, CAP_WORD)
     cap(f"n_max={n_max}", n_max, CAP_GEXP_N)
+    if words is not None:
+        n, m = words
+        cap(f"the word count {m}^{n}", m ** n, CAP_WORD_COUNT)
     if box is not None:
         count = macmahon_count(*box)
         cap("the {}x{}x{} box's plane-partition count {}".format(*box, count),
             count, CAP_BOX_COUNT)
+        if box_pairs:
+            cap("the {}x{}x{} box's pair count {}".format(*box, count ** 2),
+                count ** 2, CAP_BOX_PAIRS)
 
 
 def _read_input(args, flag: str):
@@ -201,31 +216,34 @@ def cmd_enumerate(args) -> int:
         k, n, m = args.dims
         _check_caps(args, dims=[("k", k), ("n", n), ("m", m)],
                     box=(k, n, m))
-        items = list(gen_pp_box(k, n, m))
+        items = gen_pp_box(k, n, m)
     elif args.family == "shape":
         if args.shape is None or args.m is None:
             raise UsageError("enumerate shape needs --shape and --m")
         lam = _parse_shape(args.shape)
         _check_caps(args, dims=[("shape rows", len(lam)),
                                 ("shape width", lam.part(1)), ("m", args.m)])
-        items = list(gen_pp_shape(lam, args.m))
+        items = gen_pp_shape(lam, args.m)
     elif args.family == "st":
         if args.shape is None or args.n is None:
             raise UsageError("enumerate st needs --shape and --n")
         lam = _parse_shape(args.shape)
         _check_caps(args, dims=[("shape rows", len(lam)),
                                 ("shape width", lam.part(1))], N=args.n)
-        items = list(gen_strict_tableaux(lam, args.n))
+        items = gen_strict_tableaux(lam, args.n)
     elif args.family == "words":
         if args.n is None or args.m is None:
             raise UsageError("enumerate words needs --n and --m")
-        _check_caps(args, dims=[("m", args.m)], word_len=args.n)
-        ws = list(gen_words(args.n, args.m))
+        _check_caps(args, dims=[("m", args.m)], word_len=args.n,
+                    words=(args.n, args.m))
+        ws = gen_words(args.n, args.m)
         if args.list:
+            ws = list(ws)
             _emit(args, ["".join(map(str, w.letters)) for w in ws],
                   [list(w.letters) for w in ws])
         else:
-            _emit(args, [str(len(ws))], {"count": len(ws)})
+            count = sum(1 for _ in ws)
+            _emit(args, [str(count)], {"count": count})
         return 0
     else:
         raise UsageError(f"unknown family {args.family!r}")
@@ -233,11 +251,7 @@ def cmd_enumerate(args) -> int:
     if args.gf is not None:
         if args.stat is None:
             raise UsageError("--gf needs --stat")
-        stat = _STATS[args.stat]
-        coeffs: dict[int, int] = {}
-        for pp in items:
-            v = stat(pp)
-            coeffs[v] = coeffs.get(v, 0) + 1
+        coeffs = Counter(map(_STATS[args.stat], items))
         var = args.gf
         parts = []
         for d in sorted(coeffs):
@@ -251,10 +265,12 @@ def cmd_enumerate(args) -> int:
               {"var": var, "coefficients": {str(d): coeffs[d]
                                             for d in sorted(coeffs)}})
     elif args.list:
+        items = list(items)
         _emit(args, [json.dumps(pp.to_json()) for pp in items],
               [pp.to_json() for pp in items])
     else:
-        _emit(args, [str(len(items))], {"count": len(items)})
+        count = sum(1 for _ in items)
+        _emit(args, [str(count)], {"count": count})
     return 0
 
 
@@ -340,7 +356,8 @@ def cmd_verify(args) -> int:
                     N=supplied.get("N", supplied.get("N_max")),
                     box=None if None in box else box,
                     n_max=None if lam is None
-                    else supplied.get("n_max", lam.size()))
+                    else supplied.get("n_max", lam.size()),
+                    box_pairs=args.name == "superadditivity")
         results = [fn(**supplied)]
     for r in results:
         print(_render_result(r, args.json))

@@ -355,36 +355,10 @@ def elementary_all(kmax: int, vals: Sequence[MultiPoly]) -> list[MultiPoly]:
     return e
 
 
-def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact polynomial division (raises if den does not divide num).
-
-    Valid because grlex is a monomial order: the leading term of the
-    quotient is the quotient of leading terms.
-    """
-    num._check(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    table = num.table
-    dexp, dcoef = den.leading()
-    quotient: dict[tuple[int, ...], int] = {}
-    rem = num
-    while not rem.is_zero():
-        rexp, rcoef = rem.leading()
-        qexp = tuple(a - b for a, b in zip(rexp, dexp))
-        if any(e < 0 for e in qexp) or rcoef % dcoef:
-            raise ValueError("not exactly divisible")
-        qcoef = rcoef // dcoef
-        quotient[qexp] = quotient.get(qexp, 0) + qcoef
-        rem = rem - den * MultiPoly(table, {qexp: qcoef})
-    return MultiPoly(table, quotient)
-
-
 def determinant(matrix: Sequence[Sequence[MultiPoly]], table: VarTable | None = None
                 ) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials.
-
-    Cofactor expansion for dimension <= 4; fraction-free (Bareiss)
-    elimination above that to control intermediate swell.
+    """Exact determinant of a square matrix of polynomials, by cofactor
+    expansion along the first row (zero entries are skipped).
     """
     n = len(matrix)
     if table is None:
@@ -395,12 +369,10 @@ def determinant(matrix: Sequence[Sequence[MultiPoly]], table: VarTable | None = 
         return MultiPoly.one(table)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n <= 4:
-        return _det_cofactor([list(row) for row in matrix], table)
-    return _det_bareiss([list(row) for row in matrix], table)
+    return _det_cofactor(matrix, table)
 
 
-def _det_cofactor(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
+def _det_cofactor(m: Sequence[Sequence[MultiPoly]], table: VarTable) -> MultiPoly:
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -413,23 +385,3 @@ def _det_cofactor(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
         total = total + (term if j % 2 == 0 else -term)
     return total
 
-
-def _det_bareiss(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
-    n = len(m)
-    sign = 1
-    prev = MultiPoly.one(table)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()),
-                             None)
-            if pivot_row is None:
-                return MultiPoly.zero(table)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det

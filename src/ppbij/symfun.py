@@ -9,9 +9,10 @@ specializations, and mixed lists like (1^{n-1}, z_1, ..., z_m).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
-from .core import Partition
+from .core import Partition, PlanePartition
 from .enumeration import gen_column_strict, gen_pp_shape
 from .poly import MultiPoly, VarTable, determinant, elementary_all
 
@@ -40,10 +41,24 @@ def _weight(vals: Sequence[MultiPoly], exponents: Sequence[int]) -> MultiPoly:
     return w
 
 
-def _add_into(terms: dict[tuple[int, ...], int], p: MultiPoly) -> None:
-    """Add the terms of p into a running exponent -> coefficient dict."""
-    for exp, coef in p.terms.items():
-        terms[exp] = terms.get(exp, 0) + coef
+def _content_sum(vals: Sequence[MultiPoly],
+                 contents: Counter[tuple[int, ...]]) -> MultiPoly:
+    """Sum of count * prod vals^content over a tally of content vectors,
+    one weight per distinct content.
+    """
+    terms: Counter[tuple[int, ...]] = Counter()
+    for content, count in contents.items():
+        terms.update((_weight(vals, content) * count).terms)
+    return MultiPoly(vals[0].table, terms)
+
+
+def descent_monomial(table: VarTable, pp: PlanePartition) -> tuple[int, ...]:
+    """Exponent of prod x_i z_value over the descent cells (i, j) of pp."""
+    exp = [0] * table.nvars
+    for i, j in pp.descent_set():
+        exp[table.index("x", i)] += 1
+        exp[table.index("z", pp.entry(i, j))] += 1
+    return tuple(exp)
 
 
 def schur_combinatorial(lam: Partition, xs: Sequence[MultiPoly]) -> MultiPoly:
@@ -53,13 +68,13 @@ def schur_combinatorial(lam: Partition, xs: Sequence[MultiPoly]) -> MultiPoly:
     if not xs:
         raise ValueError("need at least one value")
     m = len(xs)
-    terms: dict[tuple[int, ...], int] = {}
+    contents: Counter[tuple[int, ...]] = Counter()
     for pp in gen_column_strict(lam, m):
         content = [0] * m
         for i, j in pp.cells():
             content[pp.entry(i, j) - 1] += 1
-        _add_into(terms, _weight(xs, content))
-    return MultiPoly(xs[0].table, terms)
+        contents[tuple(content)] += 1
+    return _content_sum(xs, contents)
 
 
 def schur_specialized(lam: Partition, vals: Sequence[MultiPoly],
@@ -99,10 +114,8 @@ def g_combinatorial(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
     if not zs:
         raise ValueError("need at least one value")
     m = len(zs)
-    terms: dict[tuple[int, ...], int] = {}
-    for pp in gen_pp_shape(lam, m):
-        _add_into(terms, _weight(zs, pp.column_counts(m)))
-    return MultiPoly(zs[0].table, terms)
+    return _content_sum(
+        zs, Counter(pp.column_counts(m) for pp in gen_pp_shape(lam, m)))
 
 
 def g_refined(lam: Partition, n: int, m: int,
@@ -117,15 +130,8 @@ def g_refined(lam: Partition, n: int, m: int,
         table = VarTable([("x", n), ("z", m)])
     if len(lam) > n:
         return MultiPoly.zero(table)
-    terms: dict[tuple[int, ...], int] = {}
-    for pp in gen_pp_shape(lam, m):
-        exp = [0] * table.nvars
-        for i, j in pp.descent_set():
-            exp[table.index("x", i)] += 1
-            exp[table.index("z", pp.entry(i, j))] += 1
-        key = tuple(exp)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(table, terms)
+    return MultiPoly(table, Counter(descent_monomial(table, pp)
+                                    for pp in gen_pp_shape(lam, m)))
 
 
 def g_jacobi_trudi(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:

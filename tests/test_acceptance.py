@@ -5,9 +5,11 @@ runtime budgets are asserted with generous slack only where a criterion
 carries one, using wall-clock time around the relevant computation.
 """
 
+import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from ppbij.bijection import greene_shape, phi, phi_inverse, \
     word_to_strict_tableau
@@ -158,25 +160,33 @@ def test_14_mutation_sensitivity(monkeypatch):
     assert r.first_diff is not None
 
 
-def test_15_full_small_suite_via_cli():
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _verify_all_matches_golden(level: str):
+    """Run `verify all --json` at a level and compare every record, minus
+    its `elapsed`, with the committed golden file line by line.
+    """
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "ppbij.cli", "verify", "all",
-         "--level", "small"],
+         "--level", level, "--json"],
         capture_output=True, text=True)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAIL" not in proc.stdout
+    records = []
+    for line in proc.stdout.splitlines():
+        record = json.loads(line)
+        del record["elapsed"]
+        records.append(json.dumps(record))
+    golden = (GOLDEN_DIR / f"verify_{level}.jsonl").read_text().splitlines()
+    assert records == golden
     assert elapsed < 300.0
+
+
+def test_15_full_small_suite_via_cli():
+    _verify_all_matches_golden("small")
 
 
 def test_16_full_suite_via_cli():
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "ppbij.cli", "verify", "all",
-         "--level", "full"],
-        capture_output=True, text=True)
-    elapsed = time.perf_counter() - t0
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAIL" not in proc.stdout
-    assert elapsed < 300.0
+    _verify_all_matches_golden("full")

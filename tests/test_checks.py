@@ -110,6 +110,36 @@ class TestMutationSensitivity:
         r = check_uh_des(2, 2, 4)
         assert not r.passed
 
+    @pytest.mark.parametrize("stat, check, args", [
+        ("volume", check_macmahon_box, (2, 2, 2)),
+        ("volume", check_qschur, (2, 2, 2)),
+        ("descent_set", check_multivariate, (2, 2, 4)),
+        ("descent_set", check_cauchy_type, (2, 2, 4)),
+        ("column_counts", check_gl, (2, 2, 3)),
+        ("column_counts", check_gexp, (Partition([2, 1]),)),
+    ])
+    def test_tallied_side_mutation_is_caught(self, monkeypatch, stat, check,
+                                             args):
+        # one fault in the statistic each enumerated side tallies: volume
+        # one too high on a nonempty plane partition, a weak inequality
+        # in the descent definition, or the content (entries equal to
+        # each value) in place of the column counts
+        from ppbij.core import Cell
+
+        volume = PlanePartition.volume
+        mutants = {
+            "volume": lambda self: volume(self) + (1 if self else 0),
+            "descent_set": lambda self: frozenset(
+                Cell(i, j) for i, j in self.cells()
+                if self.entry(i, j) >= self.entry(i + 1, j)),
+            "column_counts": lambda self, m: tuple(
+                sum(row.count(v) for row in self.rows)
+                for v in range(1, m + 1)),
+        }
+        monkeypatch.setattr(PlanePartition, stat, mutants[stat])
+        r = check(*args)
+        assert r.passed is False
+        assert r.first_diff is not None
 
     def test_wrong_inverse_map_fails_dalpha(self, monkeypatch):
         # lower every entry of the inverse image by one (zeros trimmed);

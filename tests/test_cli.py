@@ -125,11 +125,18 @@ class TestEnumerate:
         ["verify", "qschur", "--k", "5", "--n", "5", "--m", "5"],
         ["dalpha", "--alpha", "1,1,1,1,1", "--k", "5", "--n", "5",
          "--m", "5"],
+        ["enumerate", "words", "--n", "10", "--m", "5"],
+        ["verify", "superadditivity", "--k", "3", "--n", "3", "--m", "3"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "cap" in err
+
+    def test_word_count_cap_admits_5_pow_8(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "words", "--n", "8",
+                           "--m", "5")
+        assert code == 0 and out.strip() == "390625"
 
     def test_caps_escape_hatch(self, capsys):
         code, out, _ = run(capsys, "enumerate", "box", "6", "1", "1",

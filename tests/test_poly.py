@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppbij.poly import MultiPoly, Truncation, VarTable, determinant, \
-    elementary_all, elementary_eval, exact_div, geometric_factor, \
+    elementary_all, elementary_eval, geometric_factor, \
     product_series
 
 T2 = VarTable([("x", 1), ("y", 1)])
@@ -158,28 +158,24 @@ class TestElementary:
         assert elementary_eval(0, zs) == MultiPoly.one(T2)
 
 
-class TestDivision:
-    @given(poly_strategy(max_exp=2, max_coef=3), poly_strategy(max_exp=2, max_coef=3))
-    @settings(max_examples=40, deadline=None)
-    def test_multiply_then_divide(self, a, b):
-        if b.is_zero():
-            return
-        assert exact_div(a * b, b) == a
-
-    def test_inexact_rejected(self):
-        x = MultiPoly.var(T2, "x")
-        with pytest.raises(ValueError, match="not exactly divisible"):
-            exact_div(x + 1, x)
-
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            exact_div(MultiPoly.one(T2), MultiPoly.zero(T2))
-
-
 def random_matrix(rng, table, n):
     return [[MultiPoly(table, {(rng.randrange(3), rng.randrange(3)):
                                rng.randrange(-3, 4)})
              for _ in range(n)] for _ in range(n)]
+
+
+def leibniz(m, table):
+    """The determinant as the signed sum over all permutations."""
+    n = len(m)
+    total = MultiPoly.zero(table)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(n) for b in range(a + 1, n))
+        term = MultiPoly.const(table, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
 
 
 class TestDeterminant:
@@ -198,15 +194,12 @@ class TestDeterminant:
                 expect = expect + term
             assert determinant(m) == expect
 
-    def test_bareiss_agrees_with_cofactor(self):
+    def test_permutation_expansion_5x5(self):
         import random
-        from ppbij.poly import _det_bareiss, _det_cofactor
         rng = random.Random(11)
         for _ in range(5):
             m = random_matrix(rng, T2, 5)
-            a = _det_cofactor([row[:] for row in m], T2)
-            b = _det_bareiss([row[:] for row in m], T2)
-            assert a == b
+            assert determinant(m) == leibniz(m, T2)
 
     def test_singular(self):
         x = MultiPoly.var(T2, "x")
