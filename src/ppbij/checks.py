@@ -24,11 +24,12 @@ from typing import Callable, Sequence
 
 from .bijection import greene_shape, phi, phi_inverse, \
     strict_tableau_to_word, word_to_strict_tableau
-from .core import NMatrix, Partition, PlanePartition
-from .enumeration import compositions, count_D_alpha, dominates, f_lambda, \
-    gen_matrices, gen_partitions_in_box, gen_pp_box, gen_pp_exact, gen_words, \
-    kostka, skew_schur_ones
-from .poly import MultiPoly, Truncation, VarTable, product_series
+from .core import NMatrix, Partition
+from .enumeration import column_strict_contents, compositions, \
+    count_D_alpha, dominates, f_lambda, gen_matrices, gen_partitions_in_box, \
+    gen_pp_box, gen_words, skew_schur_ones
+from .poly import MultiPoly, Truncation, VarTable, format_monomial, \
+    product_series
 from .symfun import descent_monomial, family_vars, g_combinatorial, \
     g_jacobi_trudi, g_refined, ones, q_powers, schur_specialized, \
     square_free_coefficient
@@ -69,9 +70,7 @@ def _poly_diff(label: str, lhs: MultiPoly, rhs: MultiPoly):
     for exp in exps:
         a, b = lhs.coefficient(exp), rhs.coefficient(exp)
         if a != b:
-            mono = "*".join(
-                f"{names[i]}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp) if e) or "1"
+            mono = format_monomial(names, exp) or "1"
             return (f"{label}:{mono}", str(a), str(b))
     return None
 
@@ -114,14 +113,6 @@ def _q(power: int = 1) -> MultiPoly:
     return MultiPoly.var(_QT, "q", 1, power=power)
 
 
-def _q_series(pps, stat: Callable[[PlanePartition], int]) -> MultiPoly:
-    return MultiPoly(_QT, Counter((stat(pp),) for pp in pps))
-
-
-def _tq_series(items, pair_stat) -> MultiPoly:
-    return MultiPoly(_TQT, Counter(pair_stat(it) for it in items))
-
-
 # -- individual checks -------------------------------------------------
 
 
@@ -153,7 +144,8 @@ def check_macmahon_box(k: int, n: int, m: int) -> CheckResult:
     against the classical product formulas.
     """
     t0 = time.perf_counter()
-    lhs_poly = _q_series(gen_pp_box(k, n, m), PlanePartition.volume)
+    lhs_poly = MultiPoly(_QT, Counter(
+        (pp.volume(),) for pp in gen_pp_box(k, n, m)))
     count_lhs = sum(lhs_poly.terms.values())
 
     trunc = Truncation(max_total=k * n * m)
@@ -174,7 +166,8 @@ def check_infinite_volume(N: int) -> CheckResult:
     the infinite product, truncated.
     """
     t0 = time.perf_counter()
-    lhs = _q_series(gen_pp_box(N, N, N, max_volume=N), PlanePartition.volume) \
+    lhs = MultiPoly(_QT, Counter(
+        (pp.volume(),) for pp in gen_pp_box(N, N, N, max_volume=N))) \
         if N > 0 else MultiPoly.one(_QT)
     trunc = Truncation(max_total=N)
     rhs = product_series([(_q(i), i) for i in range(1, N + 1)], trunc) \
@@ -190,8 +183,8 @@ def check_qschur(k: int, n: int, m: int) -> CheckResult:
     """
     t0 = time.perf_counter()
     shift = k * math.comb(n + 1, 2)
-    lhs = _q_series(gen_pp_box(k, n, m), PlanePartition.volume) * _q(shift) \
-        if shift else _q_series(gen_pp_box(k, n, m), PlanePartition.volume)
+    lhs = MultiPoly(_QT, Counter(
+        (pp.volume() + shift,) for pp in gen_pp_box(k, n, m)))
     rho = Partition.rectangle(k, n)
     rhs = schur_specialized(rho, q_powers(_QT, 1, n + m))
     return _build("qschur", {"k": k, "n": n, "m": m}, [("q_poly", lhs, rhs)], t0)
@@ -280,9 +273,9 @@ def check_uh_des(n: int, m: int, N: int) -> CheckResult:
     def lhs_at(window: int) -> MultiPoly:
         pps = (phi_inverse(D) for D in
                gen_matrices(n, m, window, weight=lambda i, l: i + l - 1))
-        return _tq_series(
-            pps, lambda pp: (pp.descent_count(), pp.up_hook_volume())
-        ).truncate(trunc)
+        return MultiPoly(_TQT, Counter(
+            (pp.descent_count(), pp.up_hook_volume()) for pp in pps
+        )).truncate(trunc)
 
     lhs = lhs_at(N)
     t = MultiPoly.var(_TQT, "t")
@@ -309,13 +302,14 @@ def check_equidistribution(N: int) -> CheckResult:
         pps = (phi_inverse(D) for D in
                gen_matrices(N + 1, N + 1, window,
                             weight=lambda i, l: i + l - 1))
-        return _tq_series(
-            pps, lambda pp: (pp.descent_count(), pp.up_hook_volume())
-        ).truncate(trunc)
+        return MultiPoly(_TQT, Counter(
+            (pp.descent_count(), pp.up_hook_volume()) for pp in pps
+        )).truncate(trunc)
 
     lhs = lhs_uh(N)
-    vol_side = _tq_series(gen_pp_box(N, N, N, max_volume=N),
-                          lambda pp: (pp.trace(), pp.volume()))
+    vol_side = MultiPoly(_TQT, Counter(
+        (pp.trace(), pp.volume())
+        for pp in gen_pp_box(N, N, N, max_volume=N)))
     factors = [(MultiPoly.var(_TQT, "t") *
                 MultiPoly.var(_TQT, "q", 1, power=kk), kk)
                for kk in range(1, N + 1)]
@@ -342,7 +336,8 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
         pps = (phi_inverse(D) for D in
                gen_matrices(max(n_rows, 1), max(n_cols, 1), window,
                             weight=lambda i, l: i + l - 1))
-        return _q_series(pps, PlanePartition.up_hook_volume).truncate(trunc)
+        return MultiPoly(_QT, Counter(
+            (pp.up_hook_volume(),) for pp in pps)).truncate(trunc)
 
     lhs = lhs_at(N)
     rhs = product_series([(_q(j), min(j, bound)) for j in range(1, N + 1)],
@@ -361,9 +356,14 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     """
     t0 = time.perf_counter()
     rho = Partition.rectangle(k, n)
-    lhs1 = _q_series(gen_pp_box(k, n, m), PlanePartition.corner_volume)
+    box, exact = Counter(), Counter()
+    for pp in gen_pp_box(k, n, m):
+        exponent = (pp.corner_volume(),)
+        box[exponent] += 1
+        if pp.exact_base(k, n, m):
+            exact[exponent] += 1
+    lhs1, lhs2 = MultiPoly(_QT, box), MultiPoly(_QT, exact)
     rhs1 = schur_specialized(rho, ones(_QT, n) + q_powers(_QT, 1, m))
-    lhs2 = _q_series(gen_pp_exact(k, n, m), PlanePartition.corner_volume)
     rhs2 = schur_specialized(rho, ones(_QT, n - 1) + q_powers(_QT, 1, m))
 
     trunc = Truncation(max_total=N)
@@ -371,7 +371,8 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     def lhs3_at(window: int) -> MultiPoly:
         pps = (phi_inverse(D) for D in
                gen_matrices(n, m, window, weight=lambda i, l: l))
-        return _q_series(pps, PlanePartition.corner_volume).truncate(trunc)
+        return MultiPoly(_QT, Counter(
+            (pp.corner_volume(),) for pp in pps)).truncate(trunc)
 
     lhs3 = lhs3_at(N)
     rhs3 = product_series([(_q(i), n) for i in range(1, m + 1)], trunc)
@@ -466,29 +467,28 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
     t0 = time.perf_counter()
     D = Counter(pp.column_counts(m) for pp in gen_pp_box(k, n, m))
 
+    # D_alpha = sum over lam inside rho of K_{lam,alpha} s_{rho/lam}(1^n),
+    # for every alpha at once: one content tally and one skew count per lam
     rho = Partition.rectangle(k, n)
-    shapes = list(gen_partitions_in_box(k, n))
+    expansion: Counter[tuple[int, ...]] = Counter()
+    for lam in gen_partitions_in_box(k, n):
+        skew = skew_schur_ones(rho, lam, n)
+        for content, count in column_strict_contents(lam, m).items():
+            expansion[content] += count * skew
     sym_fail = mono_fail = kostka_fail = product_fail = chain_fail = 0
 
-    alphas_by_weight: dict[int, list[tuple[int, ...]]] = {}
-    for w in range(N_max + 1):
-        alphas_by_weight[w] = list(compositions(w, m))
+    alphas_by_weight = {w: list(compositions(w, m)) for w in range(N_max + 1)}
 
-    for w, alphas in alphas_by_weight.items():
+    for alphas in alphas_by_weight.values():
         for alpha in alphas:
             da = D[alpha]
             sorted_a = tuple(sorted(alpha, reverse=True))
             if da != D[sorted_a]:
                 sym_fail += 1
-            expansion = sum(kostka(lam, alpha) * skew_schur_ones(rho, lam, n)
-                            for lam in shapes)
-            if da != expansion:
+            if da != expansion[alpha]:
                 kostka_fail += 1
-            d_inf = count_D_alpha(None, n, m, alpha)
-            prod = 1
-            for a in alpha:
-                prod *= math.comb(n + a - 1, a)
-            if d_inf != prod:
+            prod = math.prod(math.comb(n + a - 1, a) for a in alpha)
+            if count_D_alpha(None, n, m, alpha) != prod:
                 product_fail += 1
         for alpha in alphas:
             for beta in alphas:

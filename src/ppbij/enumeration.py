@@ -10,6 +10,7 @@ canonical encoding, so golden tests on listings are order-stable.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -87,13 +88,9 @@ def gen_matrices(n: int, m: int, bound: int,
     weight defaults to the constant 1 (a plain total-sum bound) and must
     be positive everywhere, otherwise the family is infinite.
     """
-    if weight is None:
-        grid = tuple((1,) * m for _ in range(n))
-    else:
-        grid = tuple(tuple(weight(i, l) for l in range(1, m + 1))
-                     for i in range(1, n + 1))
-        if any(w <= 0 for row in grid for w in row):
-            raise ValueError("weights must be positive")
+    weight = weight or (lambda i, l: 1)
+    grid = tuple(tuple(weight(i, l) for l in range(1, m + 1))
+                 for i in range(1, n + 1))
     for entries in kernels.matrices_weighted(n, m, grid, bound):
         yield NMatrix(entries, n, m)
 
@@ -160,6 +157,18 @@ def f_lambda(lam: Partition, n: int) -> int:
     return sum(1 for _ in gen_strict_tableaux(lam, n))
 
 
+def column_strict_contents(lam: Partition, m: int) -> Counter[tuple[int, ...]]:
+    """The content vectors of the column-strict fillings of lam with
+    entries <= m, tallied: (number of entries equal to 1, ..., to m)
+    -> number of fillings with that content.
+    """
+    contents: Counter[tuple[int, ...]] = Counter()
+    for pp in gen_column_strict(lam, m):
+        entries = Counter(itertools.chain.from_iterable(pp.rows))
+        contents[tuple(entries[v] for v in range(1, m + 1))] += 1
+    return contents
+
+
 def kostka(lam: Partition, alpha: Sequence[int]) -> int:
     """The number of column-strict fillings of lam with content alpha
     (alpha[i-1] copies of the value i).
@@ -167,14 +176,7 @@ def kostka(lam: Partition, alpha: Sequence[int]) -> int:
     alpha = tuple(alpha)
     if lam.size() != sum(alpha):
         return 0
-    count = 0
-    for pp in gen_column_strict(lam, len(alpha)):
-        content = [0] * len(alpha)
-        for i, j in pp.cells():
-            content[pp.entry(i, j) - 1] += 1
-        if tuple(content) == alpha:
-            count += 1
-    return count
+    return column_strict_contents(lam, len(alpha))[alpha]
 
 
 def skew_schur_ones(outer: Partition, inner: Partition, n: int) -> int:

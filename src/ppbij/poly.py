@@ -100,6 +100,12 @@ def _grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
+def format_monomial(names: Sequence[str], exp: Sequence[int]) -> str:
+    """An exponent vector over the names as x1^2*z3; "" for the constant."""
+    return "*".join(names[i] + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(exp) if e)
+
+
 class MultiPoly:
     """A sparse polynomial: map from exponent vector to nonzero integer
     coefficient, over a fixed VarTable.
@@ -258,9 +264,7 @@ class MultiPoly:
         names = self.table.var_names()
         parts = []
         for exp, coef in self.sorted_terms():
-            factors = [f"{names[i]}" + (f"^{e}" if e > 1 else "")
-                       for i, e in enumerate(exp) if e]
-            body = "*".join(factors)
+            body = format_monomial(names, exp)
             if not body:
                 parts.append(str(coef))
             elif coef == 1:

@@ -10,10 +10,10 @@ specializations, and mixed lists like (1^{n-1}, z_1, ..., z_m).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Partition, PlanePartition
-from .enumeration import gen_column_strict, gen_pp_shape
+from .enumeration import column_strict_contents, gen_pp_shape
 from .poly import MultiPoly, VarTable, determinant, elementary_all
 
 
@@ -67,14 +67,35 @@ def schur_combinatorial(lam: Partition, xs: Sequence[MultiPoly]) -> MultiPoly:
     """
     if not xs:
         raise ValueError("need at least one value")
-    m = len(xs)
-    contents: Counter[tuple[int, ...]] = Counter()
-    for pp in gen_column_strict(lam, m):
-        content = [0] * m
-        for i, j in pp.cells():
-            content[pp.entry(i, j) - 1] += 1
-        contents[tuple(content)] += 1
-    return _content_sum(xs, contents)
+    return _content_sum(xs, column_strict_contents(lam, len(xs)))
+
+
+def _dual_jacobi_trudi(lam: Partition,
+                       row_values: Callable[[int], Sequence[MultiPoly]],
+                       table: VarTable) -> MultiPoly:
+    """det[e_{lam'_i - i + j}(row_values(lam'_i))] of size lam_1, with
+    e_0 = 1 and e_idx = 0 for idx < 0 or beyond the row's value count.
+    The elementary polynomials are computed once per distinct value list.
+    """
+    if not lam:
+        return MultiPoly.one(table)
+    conj = lam.conjugate()
+    k = lam.part(1)
+    zero = MultiPoly.zero(table)
+    elementary: dict[tuple[MultiPoly, ...], list[MultiPoly]] = {}
+    matrix = []
+    for i in range(1, k + 1):
+        c = conj.part(i)
+        vals = tuple(row_values(c))
+        if vals not in elementary:
+            # no entry of the matrix has an index above lam'_1 + k - 1
+            elementary[vals] = elementary_all(
+                min(len(vals), conj.part(1) + k - 1), vals) \
+                if vals else [MultiPoly.one(table)]
+        e = elementary[vals]
+        matrix.append([e[c - i + j] if 0 <= c - i + j < len(e) else zero
+                       for j in range(1, k + 1)])
+    return determinant(matrix, table)
 
 
 def schur_specialized(lam: Partition, vals: Sequence[MultiPoly],
@@ -86,24 +107,7 @@ def schur_specialized(lam: Partition, vals: Sequence[MultiPoly],
         if not vals:
             raise ValueError("empty value list needs an explicit table")
         table = vals[0].table
-    if not lam:
-        return MultiPoly.one(table)
-    conj = lam.conjugate()
-    k = lam.part(1)
-    kmax = min(conj.part(1) + k, len(vals))
-    e = elementary_all(kmax, vals) if vals else [MultiPoly.one(table)]
-
-    def e_at(idx: int) -> MultiPoly:
-        # e_idx vanishes beyond the number of values and for idx < 0
-        if idx == 0:
-            return MultiPoly.one(table)
-        if 0 < idx < len(e):
-            return e[idx]
-        return MultiPoly.zero(table)
-
-    matrix = [[e_at(conj.part(i) - i + j) for j in range(1, k + 1)]
-              for i in range(1, k + 1)]
-    return determinant(matrix, table)
+    return _dual_jacobi_trudi(lam, lambda _: vals, table)
 
 
 def g_combinatorial(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
@@ -141,23 +145,8 @@ def g_jacobi_trudi(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
     if not zs:
         raise ValueError("need at least one value")
     table = zs[0].table
-    if not lam:
-        return MultiPoly.one(table)
-    conj = lam.conjugate()
-    k = lam.part(1)
-    one = MultiPoly.one(table)
-
-    def entry(i: int, j: int) -> MultiPoly:
-        idx = conj.part(i) - i + j
-        vals = [one] * (conj.part(i) - 1) + list(zs)
-        if idx < 0 or idx > len(vals):
-            return MultiPoly.zero(table)
-        if idx == 0:
-            return one
-        return elementary_all(idx, vals)[idx]
-
-    matrix = [[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    return determinant(matrix, table)
+    return _dual_jacobi_trudi(
+        lam, lambda column: ones(table, column - 1) + list(zs), table)
 
 
 def square_free_coefficient(p: MultiPoly, family: str = "x") -> int:

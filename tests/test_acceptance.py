@@ -163,13 +163,14 @@ def test_14_mutation_sensitivity(monkeypatch):
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def _verify_all_matches_golden(level: str):
-    """Run `verify all --json` at a level and compare every record, minus
-    its `elapsed`, with the committed golden file line by line.
+def _verify_all_matches_golden(level: str, *python_flags: str):
+    """Run `verify all --json` at a level, under the given interpreter
+    flags, and compare every record, minus its `elapsed`, with the
+    committed golden file line by line.
     """
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "ppbij.cli", "verify", "all",
+        [sys.executable, *python_flags, "-m", "ppbij.cli", "verify", "all",
          "--level", level, "--json"],
         capture_output=True, text=True)
     elapsed = time.perf_counter() - t0
@@ -186,6 +187,8 @@ def _verify_all_matches_golden(level: str):
 
 def test_15_full_small_suite_via_cli():
     _verify_all_matches_golden("small")
+    # -O strips assert statements, so no result may depend on one
+    _verify_all_matches_golden("small", "-O")
 
 
 def test_16_full_suite_via_cli():

@@ -11,7 +11,8 @@ from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     load_grids, run_all
 from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition
-from ppbij.poly import MultiPoly, VarTable
+from ppbij.enumeration import gen_pp_shape
+from ppbij.poly import MultiPoly, VarTable, elementary_all
 
 
 class TestPolyDiff:
@@ -138,6 +139,27 @@ class TestMutationSensitivity:
         }
         monkeypatch.setattr(PlanePartition, stat, mutants[stat])
         r = check(*args)
+        assert r.passed is False
+        assert r.first_diff is not None
+
+    def test_weak_columns_fail_dalpha_expansion(self, monkeypatch):
+        # fill the Kostka side with weakly decreasing columns; the
+        # column-count tally of the box does not read those fillings
+        monkeypatch.setattr("ppbij.enumeration.gen_column_strict",
+                            gen_pp_shape)
+        r = check_dalpha(2, 2, 2, 2)
+        assert r.passed is False
+        assert r.first_diff[0] == "kostka_expansion_failures"
+
+    @pytest.mark.parametrize("check", [check_qschur, check_corner_volume])
+    def test_dropped_value_fails_jacobi_trudi_side(self, monkeypatch,
+                                                   check):
+        # the elementary polynomials of the determinant side lose the
+        # last value of every row
+        monkeypatch.setattr(
+            "ppbij.symfun.elementary_all",
+            lambda kmax, vals: elementary_all(kmax, vals[:-1]))
+        r = check(2, 2, 2)
         assert r.passed is False
         assert r.first_diff is not None
 

@@ -2,15 +2,17 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from ppbij.bijection import is_strict_tableau
 from ppbij.core import Partition, PlanePartition
-from ppbij.enumeration import BoxSpec, compositions, count_D_alpha, dominates, \
-    f_lambda, gen_column_strict, gen_matrices, gen_matrices_column_sums, \
-    gen_partitions_in_box, gen_pp_box, gen_pp_exact, gen_pp_shape, \
-    gen_strict_tableaux, gen_words, kostka, skew_schur_ones
+from ppbij.enumeration import BoxSpec, column_strict_contents, \
+    compositions, count_D_alpha, dominates, f_lambda, gen_column_strict, \
+    gen_matrices, gen_matrices_column_sums, gen_partitions_in_box, \
+    gen_pp_box, gen_pp_exact, gen_pp_shape, gen_strict_tableaux, gen_words, \
+    kostka, skew_schur_ones
 
 
 def box_product(k, n, m) -> int:
@@ -169,6 +171,14 @@ class TestKostka:
             if lam:
                 content = tuple(lam.parts) + (0,) * (3 - len(lam))
                 assert kostka(lam, content) == 1
+
+    def test_content_tally(self):
+        # s_{21}(x1, x2, x3): each arrangement of (2, 1, 0) once, and
+        # the content (1, 1, 1) twice
+        got = column_strict_contents(Partition([2, 1]), 3)
+        expect = {alpha: 1 for alpha in permutations((2, 1, 0))}
+        expect[(1, 1, 1)] = 2
+        assert got == expect
 
 
 class TestSkewSchurOnes:
