@@ -25,26 +25,6 @@ def phi_inverse(D: NMatrix) -> PlanePartition:
     return PlanePartition(kernels.phi_inverse_rows(D.entries, D.n_rows, D.n_cols))
 
 
-def add_entry_in_row(pp: PlanePartition, level: int, i: int) -> PlanePartition:
-    """Single insertion step of the inverse map: fill the leftmost column
-    of length < i with the value `level` up to length i.
-
-    Raises ValueError("invalid insertion") if the fill would break
-    monotonicity; this cannot happen during a well-ordered inverse scan.
-    """
-    if level < 1 or i < 1:
-        raise ValueError("level and row index must be positive")
-    cols = [[pp.entry(r, c) for r in range(1, pp.n_rows() + 1) if pp.entry(r, c)]
-            for c in range(1, (len(pp.rows[0]) if pp.rows else 0) + 1)]
-    kernels.insert_column(cols, level, i)
-    n_rows = max(len(c) for c in cols)
-    rows = [[c[r] for c in cols if len(c) > r] for r in range(n_rows)]
-    try:
-        return PlanePartition(rows)
-    except ValueError:
-        raise ValueError("invalid insertion") from None
-
-
 def max_downright_path_weight(D: NMatrix, start: Cell, end: Cell) -> int:
     """Maximum entry sum over monotone down-right paths in D from start
     to end (steps (i,j)->(i+1,j) or (i,j+1)).

@@ -31,8 +31,7 @@ from .enumeration import column_strict_contents, compositions, \
 from .poly import MultiPoly, Truncation, VarTable, format_monomial, \
     product_series
 from .symfun import descent_monomial, family_vars, g_combinatorial, \
-    g_jacobi_trudi, g_refined, ones, q_powers, schur_specialized, \
-    square_free_coefficient
+    g_refined, ones, q_powers, schur_specialized, square_free_coefficient
 
 
 @dataclass
@@ -429,7 +428,7 @@ def check_gexp(lam: Partition, n_max: int | None = None) -> CheckResult:
             table = VarTable([("x", n)])
             g = g_combinatorial(lam, family_vars(table, "x")) if lam else \
                 MultiPoly.one(table)
-            coef = square_free_coefficient(g, "x")
+            coef = square_free_coefficient(g)
         pairs.append((f"n={n}", coef, f_lambda(lam, n)))
     return _build("gexp", {"lambda": list(lam.parts), "n_max": n_max}, pairs, t0)
 

@@ -348,7 +348,8 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"check {args.name!r} needs: {', '.join(sorted(missing))}")
         box = tuple(supplied.get(d) for d in ("k", "n", "m"))
-        dims = list(zip(("k", "n", "m"), box))
+        dims = list(zip(("k", "n", "m", "bound"),
+                        box + (supplied.get("bound"),)))
         lam = supplied.get("lam")
         if lam is not None:
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]

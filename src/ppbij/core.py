@@ -57,9 +57,6 @@ class Partition:
     def __bool__(self) -> bool:
         return bool(self.parts)
 
-    def length(self) -> int:
-        return len(self.parts)
-
     def size(self) -> int:
         return sum(self.parts)
 
@@ -84,13 +81,6 @@ class Partition:
     def rectangle(k: int, n: int) -> "Partition":
         """The rectangle (k^n): n rows of length k."""
         return Partition((k,) * n) if k > 0 else Partition()
-
-    def to_json(self) -> list:
-        return list(self.parts)
-
-    @staticmethod
-    def from_json(data) -> "Partition":
-        return Partition(data)
 
 
 class PlanePartition:
@@ -243,12 +233,6 @@ class PlanePartition:
             raise ValueError("scale factor must be positive")
         return PlanePartition([[k * v for v in row] for row in self.rows])
 
-    def fits_box(self, k: int, n: int, m: int) -> bool:
-        """First row <= k columns, <= n rows, entries <= m."""
-        if not self.rows:
-            return True
-        return len(self.rows) <= n and len(self.rows[0]) <= k and self.rows[0][0] <= m
-
     def exact_base(self, k: int, n: int, m: int) -> bool:
         """Base shape exactly the k x n rectangle (n rows, every row of
         length k), entries <= m.
@@ -294,10 +278,6 @@ class NMatrix:
         self.n_cols = n_cols
         self.entries = rows
 
-    @staticmethod
-    def zero(n_rows: int, n_cols: int) -> "NMatrix":
-        return NMatrix([[0] * n_cols for _ in range(n_rows)], n_rows, n_cols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NMatrix)
@@ -315,15 +295,6 @@ class NMatrix:
     def entry(self, i: int, j: int) -> int:
         """Entry at (i, j), 1-based."""
         return self.entries[i - 1][j - 1]
-
-    def total(self) -> int:
-        return sum(sum(r) for r in self.entries)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r) for r in self.entries)
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.entries)) if self.entries else ()
 
     def to_json(self) -> dict:
         return {
@@ -370,10 +341,3 @@ class Word:
     def from_digits(s: str, m: int) -> "Word":
         """Parse a word from a digit string like '132434'."""
         return Word([int(c) for c in s], m)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "letters": list(self.letters)}
-
-    @staticmethod
-    def from_json(data) -> "Word":
-        return Word(data["letters"], data["m"])

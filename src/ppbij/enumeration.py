@@ -1,6 +1,6 @@
 """Exhaustive generators for the combinatorial families (boxed plane
 partitions, fillings of a fixed shape, N-matrices, words, strict
-tableaux) and exact counters built on them (Kostka numbers, skew Schur
+tableaux) and exact counters built on them (content tallies, skew Schur
 evaluations at all-ones, descent enumeration counts).
 
 All generators are deterministic: depth-first in lexicographic order of a
@@ -11,25 +11,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import kernels
 from .bijection import phi_inverse
 from .core import NMatrix, Partition, PlanePartition, Word
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """A k x n x m bounding box; k=None marks an unbounded row length."""
-
-    k: int | None
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or (self.k is not None and self.k < 1):
-            raise ValueError("box dimensions must be positive")
 
 
 def gen_partitions_in_box(k: int, n: int) -> Iterator[Partition]:
@@ -57,13 +43,6 @@ def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
     """
     for rows in kernels.pp_box(k, n, m, max_volume):
         yield PlanePartition(rows)
-
-
-def gen_pp_exact(k: int, n: int, m: int) -> Iterator[PlanePartition]:
-    """Plane partitions in the box whose base shape is exactly k x n."""
-    for pp in gen_pp_box(k, n, m):
-        if pp.exact_base(k, n, m):
-            yield pp
 
 
 def gen_pp_shape(lam: Partition, m: int) -> Iterator[PlanePartition]:
@@ -167,16 +146,6 @@ def column_strict_contents(lam: Partition, m: int) -> Counter[tuple[int, ...]]:
         entries = Counter(itertools.chain.from_iterable(pp.rows))
         contents[tuple(entries[v] for v in range(1, m + 1))] += 1
     return contents
-
-
-def kostka(lam: Partition, alpha: Sequence[int]) -> int:
-    """The number of column-strict fillings of lam with content alpha
-    (alpha[i-1] copies of the value i).
-    """
-    alpha = tuple(alpha)
-    if lam.size() != sum(alpha):
-        return 0
-    return column_strict_contents(lam, len(alpha))[alpha]
 
 
 def skew_schur_ones(outer: Partition, inner: Partition, n: int) -> int:

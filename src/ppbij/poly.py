@@ -9,7 +9,7 @@ deterministic.  Nothing here is ever floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class VarTable:
@@ -154,19 +154,9 @@ class MultiPoly:
     def coefficient(self, exp: Sequence[int]) -> int:
         return self.terms.get(tuple(exp), 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Leading (exponent, coefficient) in grlex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
 
     def single_term(self) -> tuple[tuple[int, ...], int]:
         if len(self.terms) != 1:
@@ -253,7 +243,7 @@ class MultiPoly:
         return MultiPoly(self.table, {e: c for e, c in self.terms.items()
                                       if trunc.keeps(self.table, e)})
 
-    # -- rendering / serialization ------------------------------------
+    # -- rendering -----------------------------------------------------
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -274,20 +264,6 @@ class MultiPoly:
             else:
                 parts.append(f"{coef}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def to_json(self) -> dict:
-        return {
-            "vars": self.table.var_names(),
-            "terms": [{"exp": list(exp), "coef": str(coef)}
-                      for exp, coef in self.sorted_terms()],
-        }
-
-    @staticmethod
-    def from_json(data: dict, table: VarTable) -> "MultiPoly":
-        if data["vars"] != table.var_names():
-            raise ValueError("variable list does not match the table")
-        return MultiPoly(table, {tuple(t["exp"]): int(t["coef"])
-                                 for t in data["terms"]})
 
 
 # -- series and specialization helpers --------------------------------
@@ -334,17 +310,6 @@ def product_series(factors: Iterable[tuple[MultiPoly, int]],
     if result is None:
         raise ValueError("empty factor list")
     return result
-
-
-def elementary_eval(k: int, vals: Sequence[MultiPoly]) -> MultiPoly:
-    """The elementary symmetric polynomial e_k evaluated at a finite
-    multiset of monomial values; e_0 = 1, e_k = 0 for k > len(vals) or
-    k < 0.
-    """
-    if not vals:
-        raise ValueError("empty value list needs an explicit table")
-    return elementary_all(k, vals)[k] if 0 <= k <= len(vals) else \
-        MultiPoly.zero(vals[0].table)
 
 
 def elementary_all(kmax: int, vals: Sequence[MultiPoly]) -> list[MultiPoly]:

@@ -27,9 +27,9 @@ def ones(table: VarTable, count: int) -> list[MultiPoly]:
     return [MultiPoly.one(table)] * count
 
 
-def q_powers(table: VarTable, lo: int, hi: int, family: str = "q") -> list[MultiPoly]:
+def q_powers(table: VarTable, lo: int, hi: int) -> list[MultiPoly]:
     """The value list (q^lo, q^{lo+1}, ..., q^hi)."""
-    return [MultiPoly.var(table, family, 1, power=a) for a in range(lo, hi + 1)]
+    return [MultiPoly.var(table, "q", 1, power=a) for a in range(lo, hi + 1)]
 
 
 def _weight(vals: Sequence[MultiPoly], exponents: Sequence[int]) -> MultiPoly:
@@ -98,16 +98,13 @@ def _dual_jacobi_trudi(lam: Partition,
     return determinant(matrix, table)
 
 
-def schur_specialized(lam: Partition, vals: Sequence[MultiPoly],
-                      table: VarTable | None = None) -> MultiPoly:
+def schur_specialized(lam: Partition, vals: Sequence[MultiPoly]) -> MultiPoly:
     """The Schur polynomial evaluated at a value list through the
     dual Jacobi-Trudi determinant det[e_{lam'_i - i + j}(vals)].
     """
-    if table is None:
-        if not vals:
-            raise ValueError("empty value list needs an explicit table")
-        table = vals[0].table
-    return _dual_jacobi_trudi(lam, lambda _: vals, table)
+    if not vals:
+        raise ValueError("need at least one value")
+    return _dual_jacobi_trudi(lam, lambda _: vals, vals[0].table)
 
 
 def g_combinatorial(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
@@ -149,13 +146,13 @@ def g_jacobi_trudi(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
         lam, lambda column: ones(table, column - 1) + list(zs), table)
 
 
-def square_free_coefficient(p: MultiPoly, family: str = "x") -> int:
+def square_free_coefficient(p: MultiPoly) -> int:
     """The coefficient of x_1 x_2 ... x_n (the full square-free monomial
-    of the family, every other variable at exponent zero).
+    of the x family, every other variable at exponent zero).
     """
     table = p.table
     exp = [0] * table.nvars
-    sl = table.family_slice(family)
+    sl = table.family_slice("x")
     for i in range(sl.start, sl.stop):
         exp[i] = 1
     return p.coefficient(tuple(exp))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ppbij.bijection import phi_inverse
+from ppbij import kernels
+from ppbij.bijection import phi_inverse, strict_tableau_to_word
 from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     check_corner_volume, check_dalpha, check_equidistribution, \
     check_frobenius, check_gexp, check_gl, check_greene, \
@@ -10,7 +11,7 @@ from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     check_qschur, check_superadditivity, check_uh_des, check_uh_restricted, \
     load_grids, run_all
 from ppbij.cli import main
-from ppbij.core import Partition, PlanePartition
+from ppbij.core import Partition, PlanePartition, Word
 from ppbij.enumeration import gen_pp_shape
 from ppbij.poly import MultiPoly, VarTable, elementary_all
 
@@ -118,6 +119,7 @@ class TestMutationSensitivity:
         ("descent_set", check_cauchy_type, (2, 2, 4)),
         ("column_counts", check_gl, (2, 2, 3)),
         ("column_counts", check_gexp, (Partition([2, 1]),)),
+        ("volume", check_infinite_volume, (4,)),
     ])
     def test_tallied_side_mutation_is_caught(self, monkeypatch, stat, check,
                                              args):
@@ -162,6 +164,27 @@ class TestMutationSensitivity:
         r = check(2, 2, 2)
         assert r.passed is False
         assert r.first_diff is not None
+
+    def test_high_tail_subsequence_fails_greene(self, monkeypatch):
+        # every longest-subsequence length one too high on a nonempty
+        # word: the Greene shape no longer matches the tableau shape
+        lis_tail = kernels.lis_tail
+        monkeypatch.setattr(
+            kernels, "lis_tail",
+            lambda letters, m, i: lis_tail(letters, m, i) + bool(letters))
+        r = check_greene(3, 3)
+        assert r.passed is False
+        assert r.first_diff[0] == "mismatches"
+
+    def test_reversed_reading_fails_frobenius(self, monkeypatch):
+        # the word read back off a strict tableau comes out reversed
+        monkeypatch.setattr(
+            "ppbij.checks.strict_tableau_to_word",
+            lambda st, m: Word(strict_tableau_to_word(st, m).letters[::-1],
+                               m))
+        r = check_frobenius(3, 3)
+        assert r.passed is False
+        assert r.first_diff[0] == "roundtrip_failures"
 
     def test_wrong_inverse_map_fails_dalpha(self, monkeypatch):
         # lower every entry of the inverse image by one (zeros trimmed);

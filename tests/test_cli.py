@@ -127,6 +127,8 @@ class TestEnumerate:
          "--m", "5"],
         ["enumerate", "words", "--n", "10", "--m", "5"],
         ["verify", "superadditivity", "--k", "3", "--n", "3", "--m", "3"],
+        ["verify", "uh_restricted", "--mode", "entries", "--bound", "2000",
+         "--N", "2"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)

