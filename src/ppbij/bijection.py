@@ -69,14 +69,11 @@ def is_strict_tableau(pp: PlanePartition, n: int) -> bool:
     a single column.
     """
     column_of: dict[int, int] = {}
-    seen: set[int] = set()
-    for i, j in pp.cells():
-        v = pp.entry(i, j)
-        seen.add(v)
-        if v in column_of and column_of[v] != j:
-            return False
-        column_of[v] = j
-    return seen == set(range(1, n + 1)) if n > 0 else not seen
+    for row in pp.rows:
+        for j, v in enumerate(row):
+            if column_of.setdefault(v, j) != j:
+                return False
+    return column_of.keys() == set(range(1, n + 1))
 
 
 def strict_tableau_to_word(pp: PlanePartition, m: int) -> Word:
@@ -87,9 +84,9 @@ def strict_tableau_to_word(pp: PlanePartition, m: int) -> Word:
     if not is_strict_tableau(pp, n) or pp.n_rows() > m:
         raise ValueError("not a strict tableau")
     letters = [0] * n
-    for i, j in pp.cells():
-        v = pp.entry(i, j)
-        letters[v - 1] = max(letters[v - 1], i)
+    for i, row in enumerate(pp.rows, 1):
+        for v in row:
+            letters[v - 1] = i  # rows run downwards, so the deepest wins
     return Word(letters, m)
 
 

@@ -8,6 +8,8 @@ elements and dictionary keys during exhaustive enumeration.
 
 from __future__ import annotations
 
+from itertools import count, zip_longest
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -28,10 +30,11 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts if p != 0)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError("parts must be weakly decreasing")
+        parts = tuple(map(int, parts))
+        if 0 in parts:
+            parts = tuple(p for p in parts if p)
+        if any(map(lt, parts, parts[1:])):
+            raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError("parts must be positive")
         self.parts = parts
@@ -94,34 +97,33 @@ class PlanePartition:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        raw = [tuple(int(v) for v in row) for row in rows]
+        raw = [tuple(map(int, row)) for row in rows]
         trimmed = []
         for row in raw:
-            if any(v < 0 for v in row):
+            if row and min(row) < 0:
                 raise ValueError("entries must be nonnegative")
             n = len(row)
             while n > 0 and row[n - 1] == 0:
                 n -= 1
-            if 0 in row[:n]:
+            if n < len(row):
+                row = row[:n]
+            if 0 in row:
                 raise ValueError("zero entry inside a row")
-            trimmed.append(row[:n])
+            trimmed.append(row)
         while trimmed and not trimmed[-1]:
             trimmed.pop()
-        if any(not r for r in trimmed):
+        if not all(trimmed):
             raise ValueError("empty row above a nonempty row")
         rows = tuple(trimmed)
-        for a, b in zip(rows, rows[1:]):
-            if len(b) > len(a):
-                raise ValueError("row lengths must weakly decrease")
+        lengths = list(map(len, rows))
+        if any(map(lt, lengths, lengths[1:])):
+            raise ValueError("row lengths must weakly decrease")
         for r in rows:
-            for a, b in zip(r, r[1:]):
-                if a < b:
-                    raise ValueError("rows must be weakly decreasing")
-        for i in range(1, len(rows)):
-            upper, lower = rows[i - 1], rows[i]
-            for j, v in enumerate(lower):
-                if v > upper[j]:
-                    raise ValueError("columns must be weakly decreasing")
+            if list(r) != sorted(r, reverse=True):
+                raise ValueError("rows must be weakly decreasing")
+        for upper, lower in zip(rows, rows[1:]):
+            if any(map(lt, upper, lower)):
+                raise ValueError("columns must be weakly decreasing")
         self.rows = rows
 
     def __eq__(self, other) -> bool:
@@ -148,11 +150,6 @@ class PlanePartition:
     def max_entry(self) -> int:
         return self.rows[0][0] if self.rows else 0
 
-    def cells(self) -> Iterator[Cell]:
-        for i, row in enumerate(self.rows, start=1):
-            for j in range(1, len(row) + 1):
-                yield Cell(i, j)
-
     # -- statistics ----------------------------------------------------
 
     def shape(self) -> Partition:
@@ -166,16 +163,24 @@ class PlanePartition:
             row[i] for i, row in enumerate(self.rows) if i < len(row)
         )
 
+    def _descents(self) -> Iterator[tuple[int, int, int]]:
+        """The descent walk: (i, j, value) for each cell whose value
+        strictly exceeds the value directly below (absent cells read 0),
+        row by row.  Every descent statistic reads this walk.
+        """
+        rows = self.rows
+        for i, (row, below) in enumerate(zip(rows, rows[1:] + ((),)), 1):
+            below += (0,) * (len(row) - len(below))
+            for j, v, u in zip(count(1), row, below):
+                if v > u:
+                    yield i, j, v
+
     def descent_set(self) -> frozenset[Cell]:
         """Cells whose entry strictly exceeds the entry directly below."""
-        return frozenset(
-            Cell(i, j)
-            for i, j in self.cells()
-            if self.entry(i, j) > self.entry(i + 1, j)
-        )
+        return frozenset(Cell(i, j) for i, j, _ in self._descents())
 
     def descent_count(self) -> int:
-        return len(self.descent_set())
+        return sum(1 for _ in self._descents())
 
     def descent_level_sets(self) -> dict[tuple[int, int], frozenset[int]]:
         """D_{i,l}: the columns j where row i has value l and a descent.
@@ -183,49 +188,40 @@ class PlanePartition:
         Only nonempty sets appear in the returned map.
         """
         out: dict[tuple[int, int], set[int]] = {}
-        for i, j in self.descent_set():
-            out.setdefault((i, self.entry(i, j)), set()).add(j)
-        return {key: frozenset(v) for key, v in out.items()}
+        for i, j, v in self._descents():
+            out.setdefault((i, v), set()).add(j)
+        return {key: frozenset(js) for key, js in out.items()}
 
     def up_hook_volume(self) -> int:
         """Sum of (entry + row - 1) over descent cells."""
-        return sum(self.entry(i, j) + i - 1 for i, j in self.descent_set())
+        return sum(v + i - 1 for i, _, v in self._descents())
 
     def corner_volume(self) -> int:
         """Sum of entries over descent cells."""
-        return sum(self.entry(i, j) for i, j in self.descent_set())
+        return sum(v for _, _, v in self._descents())
 
     def column_counts(self, m: int) -> tuple[int, ...]:
         """c_i for i = 1..m: the number of columns containing value i."""
         if self.max_entry() > m:
             raise ValueError("value out of range")
-        counts = [0] * m
-        width = len(self.rows[0]) if self.rows else 0
-        for j in range(1, width + 1):
-            seen = {self.entry(i, j) for i in range(1, len(self.rows) + 1)}
-            seen.discard(0)
-            for v in seen:
-                counts[v - 1] += 1
-        return tuple(counts)
+        counts = [0] * (m + 1)  # counts[0] absorbs the absent cells
+        for column in zip_longest(*self.rows, fillvalue=0):
+            for v in set(column):
+                counts[v] += 1
+        return tuple(counts[1:])
 
     def row_descent_counts(self) -> tuple[int, ...]:
         """d_i: the number of descent cells in row i."""
         counts = [0] * len(self.rows)
-        for i, j in self.descent_set():
+        for i, _, _ in self._descents():
             counts[i - 1] += 1
         return tuple(counts)
 
     def add(self, other: "PlanePartition") -> "PlanePartition":
         """Entrywise sum; absent cells read 0."""
-        n = max(len(self.rows), len(other.rows))
-        rows = []
-        for i in range(1, n + 1):
-            w = max(
-                len(self.rows[i - 1]) if i <= len(self.rows) else 0,
-                len(other.rows[i - 1]) if i <= len(other.rows) else 0,
-            )
-            rows.append([self.entry(i, j) + other.entry(i, j) for j in range(1, w + 1)])
-        return PlanePartition(rows)
+        return PlanePartition(
+            map(sum, zip_longest(a, b, fillvalue=0))
+            for a, b in zip_longest(self.rows, other.rows, fillvalue=()))
 
     def scale(self, k: int) -> "PlanePartition":
         """Every entry multiplied by k >= 1; the descent set is unchanged."""

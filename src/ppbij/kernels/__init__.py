@@ -4,12 +4,12 @@ There is one backend, the pure-Python one in ppbij.kernels._pure; this
 package re-exports it.  BACKEND names it for the run headers.
 """
 
-from ._pure import BACKEND, insert_column, lis_tail, matrices_weighted, \
+from ._pure import BACKEND, insert_level, lis_tail, matrices_weighted, \
     phi_counts, phi_inverse_rows, pp_box, pp_shape, row_candidates
 
 __all__ = [
     "BACKEND",
-    "insert_column",
+    "insert_level",
     "lis_tail",
     "matrices_weighted",
     "phi_counts",

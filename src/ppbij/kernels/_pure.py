@@ -141,22 +141,29 @@ def phi_counts(rows, n, m):
     return tuple(tuple(r) for r in d)
 
 
-def insert_column(cols, level, i):
-    """One insertion step of the inverse map, in place on `cols` (a list
-    of column lists, each weakly decreasing from the top): fill the
-    leftmost column of length < i with `level` up to length i, opening a
-    new column on the right when every column is at least i long.
+def insert_level(rows, level, i):
+    """One insertion step of the inverse map, in place on `rows` (a list
+    of row lists forming a plane partition): fill the leftmost column of
+    length < i with `level` down to row i, opening a new column on the
+    right when every column is at least i long.
 
-    Raises ValueError("invalid insertion") if that column ends in a value
-    below `level`.
+    That column is the one at index len(rows[i-1]); the cells it gains
+    are the ends of the rows above row i that have exactly that length,
+    so the step costs the cells it adds.  Raises
+    ValueError("invalid insertion") if the entry just above those cells
+    is below `level`, leaving `rows` as it was.
     """
-    for c in cols:
-        if len(c) < i:
-            if c and c[-1] < level:
-                raise ValueError("invalid insertion")
-            c.extend([level] * (i - len(c)))
-            return
-    cols.append([level] * i)
+    n_rows = len(rows)
+    width = len(rows[i - 1]) if i <= n_rows else 0
+    top = min(i, n_rows)
+    while top > 0 and len(rows[top - 1]) == width:
+        top -= 1
+    if top > 0 and rows[top - 1][width] < level:
+        raise ValueError("invalid insertion")
+    if i > n_rows:
+        rows.extend([] for _ in range(i - n_rows))
+    for row in rows[top:i]:
+        row.append(level)
 
 
 def phi_inverse_rows(entries, n, m):
@@ -165,17 +172,14 @@ def phi_inverse_rows(entries, n, m):
     count matrix is `entries`.
 
     Scan order: value column l = m..1, row index i = n..1, one single
-    insertion (insert_column) per unit of d[i][l].
+    insertion (insert_level) per unit of d[i][l].
     """
-    cols = []
+    rows = []
     for l in range(m, 0, -1):
         for i in range(n, 0, -1):
             for _ in range(entries[i - 1][l - 1]):
-                insert_column(cols, l, i)
-    n_rows = max((len(c) for c in cols), default=0)
-    return tuple(
-        tuple(c[r] for c in cols if len(c) > r) for r in range(n_rows)
-    )
+                insert_level(rows, l, i)
+    return tuple(map(tuple, rows))
 
 
 def lis_tail(letters, m, i):

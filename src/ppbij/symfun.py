@@ -55,9 +55,9 @@ def _content_sum(vals: Sequence[MultiPoly],
 def descent_monomial(table: VarTable, pp: PlanePartition) -> tuple[int, ...]:
     """Exponent of prod x_i z_value over the descent cells (i, j) of pp."""
     exp = [0] * table.nvars
-    for i, j in pp.descent_set():
+    for i, _, v in pp._descents():
         exp[table.index("x", i)] += 1
-        exp[table.index("z", pp.entry(i, j))] += 1
+        exp[table.index("z", v)] += 1
     return tuple(exp)
 
 

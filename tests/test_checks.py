@@ -1,5 +1,8 @@
 """The named identity checks and the suite runner."""
 
+from collections import Counter
+from itertools import zip_longest
+
 import pytest
 
 from ppbij import kernels
@@ -12,7 +15,7 @@ from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     load_grids, run_all
 from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition, Word
-from ppbij.enumeration import gen_pp_shape
+from ppbij.enumeration import gen_pp_box, gen_pp_shape
 from ppbij.poly import MultiPoly, VarTable, elementary_all
 
 
@@ -40,6 +43,16 @@ class TestIndividualChecks:
     def test_infinite_volume(self):
         assert check_infinite_volume(4).passed
         assert check_infinite_volume(0).passed
+
+    def test_infinite_volume_left_side_matches_oeis(self):
+        # the volume tally infinite_volume enumerates at N = 10 against
+        # the plane-partition numbers of OEIS A000219, copied from the
+        # literature rather than computed
+        a000219 = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
+        tally = Counter(pp.volume()
+                        for pp in gen_pp_box(10, 10, 10, max_volume=10))
+        assert [tally[v] for v in range(11)] == a000219
+        assert sum(tally.values()) == sum(a000219)
 
     def test_qschur(self):
         assert check_qschur(2, 2, 2).passed
@@ -88,7 +101,48 @@ class TestIndividualChecks:
         assert check_superadditivity(2, 2, 2).passed
 
 
+def weak_descents(self):
+    """PlanePartition._descents with >= in place of >: every cell whose
+    value is at least the value below counts as a descent.
+    """
+    rows = self.rows
+    for i, (row, below) in enumerate(zip(rows, rows[1:] + ((),)), 1):
+        below += (0,) * (len(row) - len(below))
+        for j, (v, u) in enumerate(zip(row, below), 1):
+            if v >= u:
+                yield i, j, v
+
+
+# check name -> the mutation tests that inject a fault it must catch
+MUTANTS: dict[str, list[str]] = {}
+
+
+def catches(*checks):
+    """Register the decorated mutation test under the checks it fails."""
+    def register(test):
+        for name in checks:
+            MUTANTS.setdefault(name, []).append(test.__name__)
+        return test
+    return register
+
+
+def check_name(fn) -> str:
+    return next(name for name, check in CHECKS.items() if check is fn)
+
+
+TALLIED_MUTANTS = [
+    ("volume", check_macmahon_box, (2, 2, 2)),
+    ("volume", check_qschur, (2, 2, 2)),
+    ("descent_set", check_multivariate, (2, 2, 4)),
+    ("descent_set", check_cauchy_type, (2, 2, 4)),
+    ("column_counts", check_gl, (2, 2, 3)),
+    ("column_counts", check_gexp, (Partition([2, 1]),)),
+    ("volume", check_infinite_volume, (4,)),
+]
+
+
 class TestMutationSensitivity:
+    @catches("uh_des")
     def test_uh_off_by_one_is_caught(self, monkeypatch):
         # drop the row-depth term from the statistic; the joint
         # distribution check must notice and name a differing monomial
@@ -100,50 +154,83 @@ class TestMutationSensitivity:
         assert not r.passed
         assert r.first_diff is not None
 
+    @catches("uh_des")
     def test_descent_mutation_is_caught(self, monkeypatch):
-        # a weak inequality in the descent definition breaks the
-        # volume product identity
-        def weak(self):
-            from ppbij.core import Cell
-            return frozenset(Cell(i, j) for i, j in self.cells()
-                             if self.entry(i, j) >= self.entry(i + 1, j))
-
-        monkeypatch.setattr(PlanePartition, "descent_set", weak)
+        # a weak inequality in the descent walk breaks the volume
+        # product identity
+        monkeypatch.setattr(PlanePartition, "_descents", weak_descents)
         r = check_uh_des(2, 2, 4)
         assert not r.passed
 
-    @pytest.mark.parametrize("stat, check, args", [
-        ("volume", check_macmahon_box, (2, 2, 2)),
-        ("volume", check_qschur, (2, 2, 2)),
-        ("descent_set", check_multivariate, (2, 2, 4)),
-        ("descent_set", check_cauchy_type, (2, 2, 4)),
-        ("column_counts", check_gl, (2, 2, 3)),
-        ("column_counts", check_gexp, (Partition([2, 1]),)),
-        ("volume", check_infinite_volume, (4,)),
-    ])
+    @catches(*(check_name(check) for _, check, _ in TALLIED_MUTANTS))
+    @pytest.mark.parametrize("stat, check, args", TALLIED_MUTANTS)
     def test_tallied_side_mutation_is_caught(self, monkeypatch, stat, check,
                                              args):
         # one fault in the statistic each enumerated side tallies: volume
         # one too high on a nonempty plane partition, a weak inequality
-        # in the descent definition, or the content (entries equal to
-        # each value) in place of the column counts
-        from ppbij.core import Cell
-
+        # in the descent walk, or the content (entries equal to each
+        # value) in place of the column counts
         volume = PlanePartition.volume
         mutants = {
-            "volume": lambda self: volume(self) + (1 if self else 0),
-            "descent_set": lambda self: frozenset(
-                Cell(i, j) for i, j in self.cells()
-                if self.entry(i, j) >= self.entry(i + 1, j)),
-            "column_counts": lambda self, m: tuple(
+            "volume": ("volume",
+                       lambda self: volume(self) + (1 if self else 0)),
+            # every descent statistic reads the one descent walk
+            "descent_set": ("_descents", weak_descents),
+            "column_counts": ("column_counts", lambda self, m: tuple(
                 sum(row.count(v) for row in self.rows)
-                for v in range(1, m + 1)),
+                for v in range(1, m + 1))),
         }
-        monkeypatch.setattr(PlanePartition, stat, mutants[stat])
+        monkeypatch.setattr(PlanePartition, *mutants[stat])
         r = check(*args)
         assert r.passed is False
         assert r.first_diff is not None
 
+    @catches("equidistribution")
+    def test_flat_up_hook_fails_equidistribution(self, monkeypatch):
+        # the up-hook volume loses its row-depth term: the descent side
+        # no longer matches the product
+        monkeypatch.setattr(PlanePartition, "up_hook_volume",
+                            PlanePartition.corner_volume)
+        r = check_equidistribution(3)
+        assert r.passed is False
+        assert r.first_diff[0].startswith("uh_vs_product:")
+
+    @catches("equidistribution")
+    def test_first_column_trace_fails_equidistribution(self, monkeypatch):
+        # the trace sums the first column instead of the diagonal: the
+        # volume side no longer matches the product
+        monkeypatch.setattr(PlanePartition, "trace",
+                            lambda self: sum(row[0] for row in self.rows))
+        r = check_equidistribution(3)
+        assert r.passed is False
+        assert r.first_diff[0].startswith("vol_vs_product:")
+
+    @catches("uh_restricted")
+    @pytest.mark.parametrize("mode", ["entries", "rows"])
+    def test_deep_up_hook_fails_uh_restricted(self, monkeypatch, mode):
+        # the up-hook volume counts each descent one row too deep
+        up_hook = PlanePartition.up_hook_volume
+        monkeypatch.setattr(
+            PlanePartition, "up_hook_volume",
+            lambda self: up_hook(self) + self.descent_count())
+        r = check_uh_restricted(mode, 2, 4)
+        assert r.passed is False
+        assert r.first_diff[0].startswith("series:")
+
+    @catches("superadditivity")
+    def test_entrywise_max_fails_superadditivity(self, monkeypatch):
+        # the entrywise sum becomes the entrywise maximum, still a plane
+        # partition, but the volume is no longer additive
+        monkeypatch.setattr(PlanePartition, "add", lambda self, other:
+                            PlanePartition(
+                                map(max, zip_longest(a, b, fillvalue=0))
+                                for a, b in zip_longest(
+                                    self.rows, other.rows, fillvalue=())))
+        r = check_superadditivity(2, 2, 2)
+        assert r.passed is False
+        assert r.first_diff[0] == "violations"
+
+    @catches("dalpha")
     def test_weak_columns_fail_dalpha_expansion(self, monkeypatch):
         # fill the Kostka side with weakly decreasing columns; the
         # column-count tally of the box does not read those fillings
@@ -153,6 +240,7 @@ class TestMutationSensitivity:
         assert r.passed is False
         assert r.first_diff[0] == "kostka_expansion_failures"
 
+    @catches("qschur", "corner_volume")
     @pytest.mark.parametrize("check", [check_qschur, check_corner_volume])
     def test_dropped_value_fails_jacobi_trudi_side(self, monkeypatch,
                                                    check):
@@ -165,6 +253,7 @@ class TestMutationSensitivity:
         assert r.passed is False
         assert r.first_diff is not None
 
+    @catches("greene")
     def test_high_tail_subsequence_fails_greene(self, monkeypatch):
         # every longest-subsequence length one too high on a nonempty
         # word: the Greene shape no longer matches the tableau shape
@@ -176,6 +265,7 @@ class TestMutationSensitivity:
         assert r.passed is False
         assert r.first_diff[0] == "mismatches"
 
+    @catches("frobenius")
     def test_reversed_reading_fails_frobenius(self, monkeypatch):
         # the word read back off a strict tableau comes out reversed
         monkeypatch.setattr(
@@ -186,6 +276,7 @@ class TestMutationSensitivity:
         assert r.passed is False
         assert r.first_diff[0] == "roundtrip_failures"
 
+    @catches("dalpha")
     def test_wrong_inverse_map_fails_dalpha(self, monkeypatch):
         # lower every entry of the inverse image by one (zeros trimmed);
         # the unbounded product-formula side must count the mismatches
@@ -197,6 +288,10 @@ class TestMutationSensitivity:
         r = check_dalpha(2, 2, 2, 2)
         assert r.passed is False
         assert r.first_diff[0] == "product_formula_failures"
+
+
+    def test_every_check_has_a_mutant(self):
+        assert set(MUTANTS) == set(CHECKS)
 
 
 class TestResultObject:

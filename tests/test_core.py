@@ -1,6 +1,7 @@
 """Value types and the statistics defined on them."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppbij.core import Cell, NMatrix, Partition, PlanePartition, Word
 from ppbij.enumeration import gen_pp_box
@@ -45,7 +46,64 @@ class TestPartition:
         assert Partition.rectangle(0, 4) == Partition()
 
 
+def plane_partition_rows_reference(rows):
+    """The element-wise validation PlanePartition.__init__ replaced, kept
+    as a reference: the stored rows, or ValueError with the same message.
+    """
+    raw = [tuple(int(v) for v in row) for row in rows]
+    trimmed = []
+    for row in raw:
+        if any(v < 0 for v in row):
+            raise ValueError("entries must be nonnegative")
+        n = len(row)
+        while n > 0 and row[n - 1] == 0:
+            n -= 1
+        if 0 in row[:n]:
+            raise ValueError("zero entry inside a row")
+        trimmed.append(row[:n])
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    if any(not r for r in trimmed):
+        raise ValueError("empty row above a nonempty row")
+    rows = tuple(trimmed)
+    for a, b in zip(rows, rows[1:]):
+        if len(b) > len(a):
+            raise ValueError("row lengths must weakly decrease")
+    for r in rows:
+        for a, b in zip(r, r[1:]):
+            if a < b:
+                raise ValueError("rows must be weakly decreasing")
+    for i in range(1, len(rows)):
+        upper, lower = rows[i - 1], rows[i]
+        for j, v in enumerate(lower):
+            if v > upper[j]:
+                raise ValueError("columns must be weakly decreasing")
+    return rows
+
+
+# small arrays with a few negatives and zeros, mostly with sorted rows so
+# that every check, and acceptance, is reached often
+small_values = st.sampled_from([4, 3, 3, 2, 2, 2, 1, 1, 1, 0, -1])
+small_arrays = st.lists(
+    st.lists(small_values, max_size=5).map(
+        lambda row: sorted(row, reverse=True)) |
+    st.lists(small_values, max_size=5),
+    max_size=5)
+
+
 class TestPlanePartitionValidation:
+    @given(small_arrays)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_validation(self, rows):
+        try:
+            expected = plane_partition_rows_reference(rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                PlanePartition(rows)
+            assert str(raised.value) == str(exc)
+        else:
+            assert PlanePartition(rows).rows == expected
+
     def test_canonical_trailing_zeros(self):
         assert PlanePartition([[2, 1, 0], [1, 0], []]) == \
             PlanePartition([[2, 1], [1]])

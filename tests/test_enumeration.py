@@ -135,8 +135,9 @@ class TestStrictTableaux:
     def test_members_are_strict(self):
         for st in gen_strict_tableaux(Partition([3, 2]), 4):
             cols = {}
-            for i, j in st.cells():
-                cols.setdefault(st.entry(i, j), set()).add(j)
+            for row in st.rows:
+                for j, v in enumerate(row):
+                    cols.setdefault(v, set()).add(j)
             assert all(len(js) == 1 for js in cols.values())
 
 

@@ -1,8 +1,51 @@
 """The kernel package's exports and the insertion step."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppbij import kernels
+from ppbij.bijection import phi, phi_inverse
+from ppbij.core import NMatrix
+
+
+def insert_column_reference(cols, level, i):
+    """The column-list insertion step the row-form step replaced, kept as
+    a reference: fill the leftmost column of length < i with `level` up
+    to length i, scanning every column.
+    """
+    for c in cols:
+        if len(c) < i:
+            if c and c[-1] < level:
+                raise ValueError("invalid insertion")
+            c.extend([level] * (i - len(c)))
+            return
+    cols.append([level] * i)
+
+
+def phi_inverse_by_columns(entries, n, m):
+    """The inverse map built column by column with the reference step."""
+    cols = []
+    for l in range(m, 0, -1):
+        for i in range(n, 0, -1):
+            for _ in range(entries[i - 1][l - 1]):
+                insert_column_reference(cols, l, i)
+    n_rows = max((len(c) for c in cols), default=0)
+    return tuple(
+        tuple(c[r] for c in cols if len(c) > r) for r in range(n_rows)
+    )
+
+
+def columns_of(rows):
+    width = len(rows[0]) if rows else 0
+    return [[row[j] for row in rows if len(row) > j] for j in range(width)]
+
+
+@st.composite
+def count_matrices(draw, max_dim=8, max_entry=3):
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    row = st.lists(st.integers(0, max_entry), min_size=m, max_size=m)
+    return n, m, draw(st.lists(row, min_size=n, max_size=n))
 
 
 class TestSelection:
@@ -10,29 +53,63 @@ class TestSelection:
         assert kernels.BACKEND == "pure"
         for name in ("row_candidates", "pp_box", "pp_shape",
                      "matrices_weighted", "phi_counts", "phi_inverse_rows",
-                     "insert_column", "lis_tail"):
+                     "insert_level", "lis_tail"):
             assert hasattr(kernels, name)
 
 
 class TestInsertion:
-    """kernels.insert_column on column lists, each weakly decreasing from
-    the top.
-    """
+    """kernels.insert_level on row lists forming a plane partition."""
 
     def test_single_insertion_step(self):
         # fill an empty diagram, then open a new column to its right
-        cols = []
-        kernels.insert_column(cols, 3, 2)
-        assert cols == [[3, 3]]
-        kernels.insert_column(cols, 2, 1)
-        assert cols == [[3, 3], [2]]
+        rows = []
+        kernels.insert_level(rows, 3, 2)
+        assert rows == [[3], [3]]
+        kernels.insert_level(rows, 2, 1)
+        assert rows == [[3, 2], [3]]
 
     def test_insertion_picks_leftmost_short_column(self):
         # the plane partition [[3, 3], [3]]: the second column is extended
-        cols = [[3, 3], [3]]
-        kernels.insert_column(cols, 2, 2)
-        assert cols == [[3, 3], [3, 2]]
+        rows = [[3, 3], [3]]
+        kernels.insert_level(rows, 2, 2)
+        assert rows == [[3, 3], [3, 2]]
 
     def test_invalid_insertion(self):
+        # the single column (1, 1) cannot take a 2 below it
         with pytest.raises(ValueError, match="invalid insertion"):
-            kernels.insert_column([[1, 1]], 2, 3)
+            kernels.insert_level([[1], [1]], 2, 3)
+
+    @given(count_matrices(max_dim=5), st.integers(1, 4), st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_step_matches_column_step(self, matrix, level, i):
+        # any plane partition with entries <= 3, any level and row: the
+        # row-form step adds the cells, or raises, as the column step does
+        n, m, entries = matrix
+        rows = [list(r) for r in kernels.phi_inverse_rows(entries, n, m)]
+        cols = columns_of(rows)
+        try:
+            insert_column_reference(cols, level, i)
+        except ValueError as exc:
+            before = [list(r) for r in rows]
+            with pytest.raises(ValueError, match=str(exc)):
+                kernels.insert_level(rows, level, i)
+            assert rows == before
+            return
+        kernels.insert_level(rows, level, i)
+        assert columns_of(rows) == cols
+
+
+class TestInverseMap:
+    @given(count_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_column_insertion(self, matrix):
+        n, m, entries = matrix
+        assert kernels.phi_inverse_rows(entries, n, m) == \
+            phi_inverse_by_columns(entries, n, m)
+
+    @given(count_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, matrix):
+        n, m, entries = matrix
+        D = NMatrix(entries, n, m)
+        assert phi(phi_inverse(D), n, m) == D
