@@ -126,6 +126,16 @@ class PlanePartition:
                 raise ValueError("columns must be weakly decreasing")
         self.rows = rows
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "PlanePartition":
+        """Wrap kernel output without validating it: `rows` must already
+        be canonical (a tuple of nonempty int tuples forming a plane
+        partition).  Public and JSON input goes through __init__.
+        """
+        pp = object.__new__(cls)
+        pp.rows = rows
+        return pp
+
     def __eq__(self, other) -> bool:
         return isinstance(other, PlanePartition) and self.rows == other.rows
 
@@ -137,12 +147,6 @@ class PlanePartition:
 
     def __bool__(self) -> bool:
         return bool(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry at (i, j), 1-based; 0 for absent cells."""
-        if 1 <= i <= len(self.rows) and 1 <= j <= len(self.rows[i - 1]):
-            return self.rows[i - 1][j - 1]
-        return 0
 
     def n_rows(self) -> int:
         return len(self.rows)

@@ -5,6 +5,10 @@ evaluations at all-ones, descent enumeration counts).
 
 All generators are deterministic: depth-first in lexicographic order of a
 canonical encoding, so golden tests on listings are order-stable.
+
+The plane-partition generators wrap kernel rows with the trusted
+`PlanePartition._from_rows` instead of validating each member again;
+the tests compare their output with the validating constructor.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
     to volume <= max_volume.
     """
     for rows in kernels.pp_box(k, n, m, max_volume):
-        yield PlanePartition(rows)
+        yield PlanePartition._from_rows(rows)
 
 
 def gen_pp_shape(lam: Partition, m: int) -> Iterator[PlanePartition]:
     """All plane partitions of shape lam with entries in [1, m]."""
     for rows in kernels.pp_shape(lam.parts, m, strict=False):
-        yield PlanePartition(rows)
+        yield PlanePartition._from_rows(rows)
 
 
 def gen_column_strict(lam: Partition, m: int) -> Iterator[PlanePartition]:
@@ -56,7 +60,7 @@ def gen_column_strict(lam: Partition, m: int) -> Iterator[PlanePartition]:
     combinatorial support of the Schur polynomial in m variables).
     """
     for rows in kernels.pp_shape(lam.parts, m, strict=True):
-        yield PlanePartition(rows)
+        yield PlanePartition._from_rows(rows)
 
 
 def gen_matrices(n: int, m: int, bound: int,
@@ -101,7 +105,7 @@ def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
     def fill(i: int, cells_left: int, unplaced: int):
         if i == len(shape):
             if not unplaced:
-                yield PlanePartition(rows)
+                yield PlanePartition._from_rows(tuple(rows))
             return
         width = shape[i]
         cells_left -= width

@@ -33,28 +33,39 @@ def row_candidates(bounds, max_sum):
 
 
 def pp_box(k, n, m, max_volume=None):
-    """All plane partitions in the k x n x m box, as row-tuples.
+    """Yield all plane partitions in the k x n x m box, as row-tuples.
 
     Bounded by total volume when max_volume is given.  Deterministic
     order: depth-first by rows, rows in lexicographic order.
+
+    The rows that fit under a bounding row are listed once per call,
+    with their sums, up to min(sum(bounds), max_volume), and filtered
+    by the volume left at each use.
     """
     if max_volume is None:
         max_volume = k * n * m
-    results = []
+    under = {}  # bounding row -> [(row, sum(row))] of the rows below it
     rows = []
 
+    def candidates(bounds):
+        cands = under.get(bounds)
+        if cands is None:
+            cap = min(sum(bounds), max_volume)
+            cands = under[bounds] = [
+                (row, sum(row)) for row in row_candidates(bounds, cap)]
+        return cands
+
     def recurse(budget):
-        results.append(tuple(rows))
+        yield tuple(rows)
         if len(rows) >= n:
             return
-        bounds = rows[-1] if rows else (m,) * k
-        for cand in row_candidates(bounds, budget):
-            rows.append(cand)
-            recurse(budget - sum(cand))
-            rows.pop()
+        for cand, size in candidates(rows[-1] if rows else (m,) * k):
+            if size <= budget:
+                rows.append(cand)
+                yield from recurse(budget - size)
+                rows.pop()
 
-    recurse(max_volume)
-    return results
+    yield from recurse(max_volume)
 
 
 def pp_shape(shape, m, strict=False):

@@ -152,7 +152,7 @@ def test_13_superadditivity_suite():
 
 def test_14_mutation_sensitivity(monkeypatch):
     def flat(self):
-        return sum(self.entry(i, j) for i, j in self.descent_set())
+        return sum(self.rows[i - 1][j - 1] for i, j in self.descent_set())
 
     monkeypatch.setattr(PlanePartition, "up_hook_volume", flat)
     r = check_uh_des(2, 2, 4)

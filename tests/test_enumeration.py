@@ -2,14 +2,14 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from ppbij.bijection import is_strict_tableau
 from ppbij.core import Partition, PlanePartition
 from ppbij.enumeration import column_strict_contents, compositions, \
-    count_D_alpha, dominates, f_lambda, gen_matrices, \
+    count_D_alpha, dominates, f_lambda, gen_column_strict, gen_matrices, \
     gen_matrices_column_sums, gen_partitions_in_box, gen_pp_box, \
     gen_pp_shape, gen_strict_tableaux, gen_words, skew_schur_ones
 
@@ -67,10 +67,41 @@ class TestBoxedPlanePartitions:
         assert len(exact) == sum(1 for _ in gen_pp_box(2, 2, 1))
 
 
+class TestTrustedOutput:
+    """gen_pp_box, gen_pp_shape, gen_column_strict and gen_strict_tableaux
+    wrap kernel rows without validating them: every member must be what
+    the validating constructor builds from its rows.
+    """
+
+    @staticmethod
+    def assert_as_validated(pps):
+        for pp in pps:
+            checked = PlanePartition(pp.rows)
+            assert pp.rows == checked.rows, pp.rows
+            assert pp == checked and checked == pp
+            assert hash(pp) == hash(checked)
+
+    def test_box(self):
+        for k, n, m in product(range(4), repeat=3):
+            self.assert_as_validated(gen_pp_box(k, n, m))
+        self.assert_as_validated(gen_pp_box(3, 3, 3, max_volume=4))
+
+    def test_shape_fillings(self):
+        for lam in gen_partitions_in_box(3, 3):
+            for m in range(4):
+                self.assert_as_validated(gen_pp_shape(lam, m))
+                self.assert_as_validated(gen_column_strict(lam, m))
+
+    def test_strict_tableaux(self):
+        for n in range(5):
+            for lam in gen_partitions_in_box(n, 4):
+                self.assert_as_validated(list(gen_strict_tableaux(lam, n)))
+
+
 class TestShapeFillings:
     def test_single_cell(self):
         got = list(gen_pp_shape(Partition([1]), 3))
-        assert {pp.entry(1, 1) for pp in got} == {1, 2, 3}
+        assert [pp.rows for pp in got] == [((3,),), ((2,),), ((1,),)]
 
     def test_empty_shape(self):
         assert list(gen_pp_shape(Partition(), 2)) == [PlanePartition()]

@@ -1,4 +1,11 @@
-"""The kernel package's exports and the insertion step."""
+"""The kernel package's exports, the box kernel, the insertion step and
+the kernel loads the benchmark times.
+"""
+
+import importlib.util
+import inspect
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +13,34 @@ from hypothesis import given, settings, strategies as st
 from ppbij import kernels
 from ppbij.bijection import phi, phi_inverse
 from ppbij.core import NMatrix
+from ppbij.enumeration import gen_pp_box
+from ppbij.kernels import _pure
+
+MICRO = Path(__file__).resolve().parent.parent / "perfbench" / "micro.py"
+
+
+def pp_box_reference(k, n, m, max_volume=None):
+    """The list-building box kernel the streaming one replaced, kept as a
+    reference: candidate rows are listed afresh under every partial
+    plane partition, bounded by the volume left.
+    """
+    if max_volume is None:
+        max_volume = k * n * m
+    results = []
+    rows = []
+
+    def recurse(budget):
+        results.append(tuple(rows))
+        if len(rows) >= n:
+            return
+        bounds = rows[-1] if rows else (m,) * k
+        for cand in kernels.row_candidates(bounds, budget):
+            rows.append(cand)
+            recurse(budget - sum(cand))
+            rows.pop()
+
+    recurse(max_volume)
+    return results
 
 
 def insert_column_reference(cols, level, i):
@@ -55,6 +90,35 @@ class TestSelection:
                      "matrices_weighted", "phi_counts", "phi_inverse_rows",
                      "insert_level", "lis_tail"):
             assert hasattr(kernels, name)
+
+
+class TestBoxKernel:
+    def test_streams(self):
+        assert inspect.isgenerator(kernels.pp_box(2, 2, 2))
+
+    def test_matches_reference_in_order(self):
+        # every box up to 3x3x3, the zero-size ones included, and
+        # volume-bounded boxes
+        boxes = [(k, n, m, None) for k, n, m in product(range(4), repeat=3)]
+        boxes += [(3, 3, 3, 4), (6, 6, 6, 6), (10, 10, 10, 10),
+                  (2, 2, 2, 0), (0, 3, 3, 2), (3, 0, 3, 2), (3, 3, 0, 2)]
+        for box in boxes:
+            assert list(kernels.pp_box(*box)) == pp_box_reference(*box), box
+
+    def test_candidate_budget(self, monkeypatch):
+        # the candidate rows of the volume-bounded 10x10x10 box are capped
+        # by the volume, not by the k*m cells of a row (~185k rows)
+        received = [0]
+        row_candidates = _pure.row_candidates
+
+        def counting(bounds, max_sum):
+            out = row_candidates(bounds, max_sum)
+            received[0] += len(out)
+            return out
+
+        monkeypatch.setattr(_pure, "row_candidates", counting)
+        assert len(list(gen_pp_box(10, 10, 10, max_volume=10))) == 1124
+        assert 0 < received[0] <= 10_000
 
 
 class TestInsertion:
@@ -113,3 +177,21 @@ class TestInverseMap:
         n, m, entries = matrix
         D = NMatrix(entries, n, m)
         assert phi(phi_inverse(D), n, m) == D
+
+
+def load_micro():
+    """perfbench/micro.py, imported from its path (perfbench is not a
+    package); it imports benchmarks/bench_kernels.py itself.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_micro", MICRO)
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+    return micro
+
+
+def test_bench_loads_return_expected_counts():
+    # the benchmark counts a load whose result differs as a failure, so a
+    # kernel change that breaks a load fails here first
+    micro = load_micro()
+    for metric, (load, expected) in micro.LOADS.items():
+        assert load(micro.bench_kernels._pure) == expected, metric
