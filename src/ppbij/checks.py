@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bijection import greene_shape, phi, phi_inverse, \
     strict_tableau_to_word, word_to_strict_tableau
@@ -153,7 +153,7 @@ def check_macmahon_box(k: int, n: int, m: int) -> CheckResult:
     for a, _ in exps:
         rhs_poly = rhs_poly.mul_truncated(MultiPoly.one(_QT) - _q(a), trunc)
     rhs_poly = rhs_poly.mul_truncated(
-        product_series([(_q(b), 1) for _, b in exps], trunc), trunc)
+        product_series(_QT, [(_q(b), 1) for _, b in exps], trunc), trunc)
 
     return _build("macmahon_box", {"k": k, "n": n, "m": m},
                   [("q_poly", lhs_poly, rhs_poly),
@@ -166,11 +166,9 @@ def check_infinite_volume(N: int) -> CheckResult:
     """
     t0 = time.perf_counter()
     lhs = MultiPoly(_QT, Counter(
-        (pp.volume(),) for pp in gen_pp_box(N, N, N, max_volume=N))) \
-        if N > 0 else MultiPoly.one(_QT)
+        (pp.volume(),) for pp in gen_pp_box(N, N, N, max_volume=N)))
     trunc = Truncation(max_total=N)
-    rhs = product_series([(_q(i), i) for i in range(1, N + 1)], trunc) \
-        if N > 0 else MultiPoly.one(_QT)
+    rhs = product_series(_QT, [(_q(i), i) for i in range(1, N + 1)], trunc)
     return _build("infinite_volume", {"N": N}, [("series", lhs, rhs)], t0)
 
 
@@ -185,7 +183,7 @@ def check_qschur(k: int, n: int, m: int) -> CheckResult:
     lhs = MultiPoly(_QT, Counter(
         (pp.volume() + shift,) for pp in gen_pp_box(k, n, m)))
     rho = Partition.rectangle(k, n)
-    rhs = schur_specialized(rho, q_powers(_QT, 1, n + m))
+    rhs = schur_specialized(_QT, rho, q_powers(_QT, 1, n + m))
     return _build("qschur", {"k": k, "n": n, "m": m}, [("q_poly", lhs, rhs)], t0)
 
 
@@ -205,7 +203,7 @@ def check_multivariate(n: int, m: int, N: int) -> CheckResult:
 
     lhs = lhs_at(N // 2)
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
-    rhs = product_series([(x * z, 1) for x in xs for z in zs], trunc)
+    rhs = product_series(table, [(x * z, 1) for x in xs for z in zs], trunc)
     return _build("multivariate", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
                    ("window_stable", lhs, lhs_at(N // 2 + 1))], t0)
@@ -228,12 +226,12 @@ def check_cauchy_type(n: int, m: int, N: int) -> CheckResult:
     def lhs_at(width: int) -> MultiPoly:
         terms: Counter[tuple[int, ...]] = Counter()
         for lam in gen_partitions_in_box(width, n):
-            terms.update(g_refined(lam, n, m, table).terms)
+            terms.update(g_refined(table, lam).terms)
         return MultiPoly(table, terms).truncate(trunc)
 
     lhs = lhs_at(N // 2)
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
-    rhs = product_series([(x * z, 1) for x in xs for z in zs], trunc)
+    rhs = product_series(table, [(x * z, 1) for x in xs for z in zs], trunc)
     return _build("cauchy_type", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
                    ("window_stable", lhs, lhs_at(N // 2 + 1))], t0)
@@ -251,11 +249,11 @@ def check_gl(n: int, m: int, N: int) -> CheckResult:
     def lhs_at(width: int) -> MultiPoly:
         terms: Counter[tuple[int, ...]] = Counter()
         for lam in gen_partitions_in_box(width, n):
-            terms.update(g_combinatorial(lam, zs).terms)
+            terms.update(g_combinatorial(table, lam, zs).terms)
         return MultiPoly(table, terms).truncate(trunc)
 
     lhs = lhs_at(N)
-    rhs = product_series([(z, n) for z in zs], trunc)
+    rhs = product_series(table, [(z, n) for z in zs], trunc)
     return _build("gl", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
                    ("window_stable", lhs, lhs_at(N + 1))], t0)
@@ -280,7 +278,7 @@ def check_uh_des(n: int, m: int, N: int) -> CheckResult:
     t = MultiPoly.var(_TQT, "t")
     factors = [(t * MultiPoly.var(_TQT, "q", 1, power=i + j - 1), 1)
                for i in range(1, m + 1) for j in range(1, n + 1)]
-    rhs = product_series(factors, trunc)
+    rhs = product_series(_TQT, factors, trunc)
     return _build("uh_des", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
                    ("window_stable", lhs, lhs_at(N + 1))], t0)
@@ -312,7 +310,7 @@ def check_equidistribution(N: int) -> CheckResult:
     factors = [(MultiPoly.var(_TQT, "t") *
                 MultiPoly.var(_TQT, "q", 1, power=kk), kk)
                for kk in range(1, N + 1)]
-    rhs = product_series(factors, trunc)
+    rhs = product_series(_TQT, factors, trunc)
     return _build("equidistribution", {"N": N},
                   [("uh_vs_product", lhs, rhs),
                    ("vol_vs_product", vol_side, rhs),
@@ -333,14 +331,14 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
 
     def lhs_at(window: int) -> MultiPoly:
         pps = (phi_inverse(D) for D in
-               gen_matrices(max(n_rows, 1), max(n_cols, 1), window,
+               gen_matrices(n_rows, n_cols, window,
                             weight=lambda i, l: i + l - 1))
         return MultiPoly(_QT, Counter(
             (pp.up_hook_volume(),) for pp in pps)).truncate(trunc)
 
     lhs = lhs_at(N)
-    rhs = product_series([(_q(j), min(j, bound)) for j in range(1, N + 1)],
-                         trunc) if N > 0 else MultiPoly.one(_QT)
+    rhs = product_series(
+        _QT, [(_q(j), min(j, bound)) for j in range(1, N + 1)], trunc)
     return _build("uh_restricted", {"mode": mode, "bound": bound, "N": N},
                   [("series", lhs, rhs),
                    ("window_stable", lhs, lhs_at(N + 1))], t0)
@@ -362,8 +360,8 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
         if pp.exact_base(k, n, m):
             exact[exponent] += 1
     lhs1, lhs2 = MultiPoly(_QT, box), MultiPoly(_QT, exact)
-    rhs1 = schur_specialized(rho, ones(_QT, n) + q_powers(_QT, 1, m))
-    rhs2 = schur_specialized(rho, ones(_QT, n - 1) + q_powers(_QT, 1, m))
+    rhs1 = schur_specialized(_QT, rho, ones(_QT, n) + q_powers(_QT, 1, m))
+    rhs2 = schur_specialized(_QT, rho, ones(_QT, n - 1) + q_powers(_QT, 1, m))
 
     trunc = Truncation(max_total=N)
 
@@ -374,10 +372,11 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
             (pp.corner_volume(),) for pp in pps)).truncate(trunc)
 
     lhs3 = lhs3_at(N)
-    rhs3 = product_series([(_q(i), n) for i in range(1, m + 1)], trunc)
+    rhs3 = product_series(_QT, [(_q(i), n) for i in range(1, m + 1)], trunc)
 
     slice_lhs = sum(lhs2.terms.values())
-    slice_rhs = sum(1 for _ in gen_pp_box(k, n, m - 1)) if m >= 1 else 1
+    slice_rhs = sum(1 for _ in gen_pp_box(k, n, m - 1)) if m >= 1 \
+        else int(k * n == 0)
 
     return _build("corner_volume", {"k": k, "n": n, "m": m, "N": N},
                   [("box_q1", lhs1, rhs1),
@@ -422,13 +421,9 @@ def check_gexp(lam: Partition, n_max: int | None = None) -> CheckResult:
         n_max = lam.size()
     pairs = []
     for n in range(0, n_max + 1):
-        if n == 0:
-            coef = 1 if not lam else 0
-        else:
-            table = VarTable([("x", n)])
-            g = g_combinatorial(lam, family_vars(table, "x")) if lam else \
-                MultiPoly.one(table)
-            coef = square_free_coefficient(g)
+        table = VarTable([("x", n)])
+        coef = square_free_coefficient(
+            g_combinatorial(table, lam, family_vars(table, "x")))
         pairs.append((f"n={n}", coef, f_lambda(lam, n)))
     return _build("gexp", {"lambda": list(lam.parts), "n_max": n_max}, pairs, t0)
 
@@ -631,17 +626,22 @@ def _run_entry(entry: dict) -> CheckResult:
         )
 
 
-def run_all(level: str = "small", workers: int = 1) -> list[CheckResult]:
+def run_all(level: str = "small", workers: int = 1) -> Iterator[CheckResult]:
     """Run the whole named-check suite at the given level's parameter
-    grid; results come back in declaration order regardless of worker
-    count.
+    grid.  Results stream back in declaration order regardless of worker
+    count; the pool never holds more processes than there are entries.
     """
     grids = load_grids()
     if level not in grids:
         raise ValueError(f"unknown level {level!r}")
     entries = grids[level]
+    workers = min(workers, len(entries))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_entry, entries))
-    return [_run_entry(e) for e in entries]
+        return _run_pooled(entries, workers)
+    return map(_run_entry, entries)
+
+
+def _run_pooled(entries: list[dict], workers: int) -> Iterator[CheckResult]:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_entry, entries)

@@ -18,7 +18,7 @@ from collections import Counter
 
 from .bijection import greene_shape, lis_tail, phi, phi_inverse, \
     word_to_strict_tableau
-from .checks import CHECKS, CheckResult, macmahon_count, run_all
+from .checks import CHECKS, CheckResult, _run_entry, macmahon_count, run_all
 from .core import NMatrix, Partition, PlanePartition, Word
 from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
     gen_strict_tableaux, gen_words
@@ -53,11 +53,17 @@ class DomainError(Exception):
 
 def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
                 words=None, box_pairs=False):
-    """Raise UsageError for the first parameter over its cap, unless
-    --unsafe-no-caps was given.  `box` is a (k, n, m) triple whose plane
-    partitions the command enumerates, all pairs of them if `box_pairs`;
-    `words` is an (n, m) pair whose m^n words it enumerates.
+    """Raise UsageError for the first negative parameter, and for the
+    first parameter over its cap unless --unsafe-no-caps was given.
+    `box` is a (k, n, m) triple whose plane partitions the command
+    enumerates, all pairs of them if `box_pairs`; `words` is an (n, m)
+    pair whose m^n words it enumerates.
     """
+    for what, value in [*dims, ("N", N), ("word length", word_len),
+                        ("n_max", n_max)]:
+        if value is not None and value < 0:
+            raise UsageError(f"{what}={value} is negative; --unsafe-no-caps "
+                             "does not lift this")
     if getattr(args, "unsafe_no_caps", False):
         return
 
@@ -133,9 +139,12 @@ def _parse_shape(text: str) -> Partition:
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p != "")
+        vec = tuple(int(p) for p in text.split(",") if p != "")
     except ValueError as exc:
         raise UsageError(f"bad vector {text!r}: {exc}") from None
+    if any(p < 0 for p in vec):
+        raise UsageError(f"bad vector {text!r}: negative component")
+    return vec
 
 
 def _emit(args, text_lines, json_obj):
@@ -323,6 +332,8 @@ def _render_result(r: CheckResult, as_json: bool) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     if args.name == "all":
         results = run_all(args.level, workers=args.workers)
     else:
@@ -350,22 +361,25 @@ def cmd_verify(args) -> int:
         box = tuple(supplied.get(d) for d in ("k", "n", "m"))
         dims = list(zip(("k", "n", "m", "bound"),
                         box + (supplied.get("bound"),)))
-        lam = supplied.get("lam")
+        lam = supplied.pop("lam", None)
         if lam is not None:
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
+            supplied["lambda"] = list(lam.parts)  # as in the grids
         _check_caps(args, dims=dims,
                     N=supplied.get("N", supplied.get("N_max")),
                     box=None if None in box else box,
                     n_max=None if lam is None
                     else supplied.get("n_max", lam.size()),
                     box_pairs=args.name == "superadditivity")
-        results = [fn(**supplied)]
+        results = [_run_entry({"check": args.name, "params": supplied})]
+    passed = total = 0
     for r in results:
-        print(_render_result(r, args.json))
-    failed = [r for r in results if not r.passed]
+        print(_render_result(r, args.json), flush=True)
+        passed += r.passed
+        total += 1
     if not args.json:
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+        print(f"{passed}/{total} checks passed")
+    return 0 if passed == total else 1
 
 
 # -- argument parsing --------------------------------------------------

@@ -238,7 +238,7 @@ class PlanePartition:
         length k), entries <= m.
         """
         if not self.rows:
-            return k == 0 and n == 0
+            return k == 0 or n == 0
         return (
             len(self.rows) == n
             and len(self.rows[0]) == k

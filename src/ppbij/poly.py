@@ -295,28 +295,24 @@ def geometric_factor(mono: MultiPoly, trunc: Truncation) -> MultiPoly:
     return MultiPoly(table, terms)
 
 
-def product_series(factors: Iterable[tuple[MultiPoly, int]],
+def product_series(table: VarTable, factors: Iterable[tuple[MultiPoly, int]],
                    trunc: Truncation) -> MultiPoly:
     """Truncated expansion of prod 1/(1 - mono)^mult over the given
-    (monomial, multiplicity) factors.
+    (monomial, multiplicity) factors; 1 for no factors.
     """
-    result = None
+    result = MultiPoly.one(table)
     for mono, mult in factors:
-        if result is None:
-            result = MultiPoly.one(mono.table)
         geo = geometric_factor(mono, trunc)
         for _ in range(mult):
             result = result.mul_truncated(geo, trunc)
-    if result is None:
-        raise ValueError("empty factor list")
     return result
 
 
-def elementary_all(kmax: int, vals: Sequence[MultiPoly]) -> list[MultiPoly]:
+def elementary_all(table: VarTable, kmax: int,
+                   vals: Sequence[MultiPoly]) -> list[MultiPoly]:
     """[e_0, ..., e_kmax] evaluated at vals, by the one-value-at-a-time
     recurrence.
     """
-    table = vals[0].table
     e = [MultiPoly.one(table)] + [MultiPoly.zero(table)] * kmax
     for v in vals:
         for j in range(kmax, 0, -1):
@@ -324,25 +320,22 @@ def elementary_all(kmax: int, vals: Sequence[MultiPoly]) -> list[MultiPoly]:
     return e
 
 
-def determinant(matrix: Sequence[Sequence[MultiPoly]], table: VarTable | None = None
-                ) -> MultiPoly:
+def determinant(table: VarTable,
+                matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Exact determinant of a square matrix of polynomials, by cofactor
-    expansion along the first row (zero entries are skipped).
+    expansion along the first row (zero entries are skipped); 1 for the
+    empty matrix.
     """
-    n = len(matrix)
-    if table is None:
-        if n == 0:
-            raise ValueError("empty matrix needs an explicit table")
-        table = matrix[0][0].table
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    return _det_cofactor(table, matrix)
+
+
+def _det_cofactor(table: VarTable,
+                  m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    n = len(m)
     if n == 0:
         return MultiPoly.one(table)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    return _det_cofactor(matrix, table)
-
-
-def _det_cofactor(m: Sequence[Sequence[MultiPoly]], table: VarTable) -> MultiPoly:
-    n = len(m)
     if n == 1:
         return m[0][0]
     total = MultiPoly.zero(table)
@@ -350,7 +343,6 @@ def _det_cofactor(m: Sequence[Sequence[MultiPoly]], table: VarTable) -> MultiPol
         if m[0][j].is_zero():
             continue
         minor = [[m[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = m[0][j] * _det_cofactor(minor, table)
+        term = m[0][j] * _det_cofactor(table, minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-

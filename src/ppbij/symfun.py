@@ -4,7 +4,8 @@ determinants, and the specializations used by the verification checks.
 Symmetric polynomials are built over explicit value lists: a value is any
 monomial MultiPoly (the constant 1, a power q^a, or a formal variable),
 so the same code produces combinatorial polynomials, principal
-specializations, and mixed lists like (1^{n-1}, z_1, ..., z_m).
+specializations, and mixed lists like (1^{n-1}, z_1, ..., z_m).  The
+VarTable is always passed first, so empty value lists need no special case.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def q_powers(table: VarTable, lo: int, hi: int) -> list[MultiPoly]:
     return [MultiPoly.var(table, "q", 1, power=a) for a in range(lo, hi + 1)]
 
 
-def _weight(vals: Sequence[MultiPoly], exponents: Sequence[int]) -> MultiPoly:
-    table = vals[0].table
+def _weight(table: VarTable, vals: Sequence[MultiPoly],
+            exponents: Sequence[int]) -> MultiPoly:
     w = MultiPoly.one(table)
     for v, e in zip(vals, exponents):
         if e:
@@ -41,15 +42,15 @@ def _weight(vals: Sequence[MultiPoly], exponents: Sequence[int]) -> MultiPoly:
     return w
 
 
-def _content_sum(vals: Sequence[MultiPoly],
+def _content_sum(table: VarTable, vals: Sequence[MultiPoly],
                  contents: Counter[tuple[int, ...]]) -> MultiPoly:
     """Sum of count * prod vals^content over a tally of content vectors,
     one weight per distinct content.
     """
     terms: Counter[tuple[int, ...]] = Counter()
     for content, count in contents.items():
-        terms.update((_weight(vals, content) * count).terms)
-    return MultiPoly(vals[0].table, terms)
+        terms.update((_weight(table, vals, content) * count).terms)
+    return MultiPoly(table, terms)
 
 
 def descent_monomial(table: VarTable, pp: PlanePartition) -> tuple[int, ...]:
@@ -61,24 +62,21 @@ def descent_monomial(table: VarTable, pp: PlanePartition) -> tuple[int, ...]:
     return tuple(exp)
 
 
-def schur_combinatorial(lam: Partition, xs: Sequence[MultiPoly]) -> MultiPoly:
+def schur_combinatorial(table: VarTable, lam: Partition,
+                        xs: Sequence[MultiPoly]) -> MultiPoly:
     """The Schur polynomial of shape lam in the values xs, summed over
     column-strict fillings weighted by entry multiplicities.
     """
-    if not xs:
-        raise ValueError("need at least one value")
-    return _content_sum(xs, column_strict_contents(lam, len(xs)))
+    return _content_sum(table, xs, column_strict_contents(lam, len(xs)))
 
 
-def _dual_jacobi_trudi(lam: Partition,
-                       row_values: Callable[[int], Sequence[MultiPoly]],
-                       table: VarTable) -> MultiPoly:
+def _dual_jacobi_trudi(table: VarTable, lam: Partition,
+                       row_values: Callable[[int], Sequence[MultiPoly]]
+                       ) -> MultiPoly:
     """det[e_{lam'_i - i + j}(row_values(lam'_i))] of size lam_1, with
     e_0 = 1 and e_idx = 0 for idx < 0 or beyond the row's value count.
     The elementary polynomials are computed once per distinct value list.
     """
-    if not lam:
-        return MultiPoly.one(table)
     conj = lam.conjugate()
     k = lam.part(1)
     zero = MultiPoly.zero(table)
@@ -90,60 +88,54 @@ def _dual_jacobi_trudi(lam: Partition,
         if vals not in elementary:
             # no entry of the matrix has an index above lam'_1 + k - 1
             elementary[vals] = elementary_all(
-                min(len(vals), conj.part(1) + k - 1), vals) \
-                if vals else [MultiPoly.one(table)]
+                table, min(len(vals), conj.part(1) + k - 1), vals)
         e = elementary[vals]
         matrix.append([e[c - i + j] if 0 <= c - i + j < len(e) else zero
                        for j in range(1, k + 1)])
-    return determinant(matrix, table)
+    return determinant(table, matrix)
 
 
-def schur_specialized(lam: Partition, vals: Sequence[MultiPoly]) -> MultiPoly:
+def schur_specialized(table: VarTable, lam: Partition,
+                      vals: Sequence[MultiPoly]) -> MultiPoly:
     """The Schur polynomial evaluated at a value list through the
     dual Jacobi-Trudi determinant det[e_{lam'_i - i + j}(vals)].
     """
-    if not vals:
-        raise ValueError("need at least one value")
-    return _dual_jacobi_trudi(lam, lambda _: vals, vals[0].table)
+    return _dual_jacobi_trudi(table, lam, lambda _: vals)
 
 
-def g_combinatorial(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
+def g_combinatorial(table: VarTable, lam: Partition,
+                    zs: Sequence[MultiPoly]) -> MultiPoly:
     """The dual Grothendieck polynomial of shape lam in the values zs:
     plane partitions of shape lam with entries <= len(zs), weighted by
     column counts.
     """
-    if not zs:
-        raise ValueError("need at least one value")
     m = len(zs)
     return _content_sum(
-        zs, Counter(pp.column_counts(m) for pp in gen_pp_shape(lam, m)))
+        table, zs,
+        Counter(pp.column_counts(m) for pp in gen_pp_shape(lam, m)))
 
 
-def g_refined(lam: Partition, n: int, m: int,
-              table: VarTable | None = None) -> MultiPoly:
-    """The two-alphabet refinement: over plane partitions of shape lam
-    with entries <= m, each descent cell (i,j) contributes x_i z_{value}.
+def g_refined(table: VarTable, lam: Partition) -> MultiPoly:
+    """The two-alphabet refinement over a table with families x (arity
+    n) and z (arity m): over plane partitions of shape lam with entries
+    <= m, each descent cell (i,j) contributes x_i z_{value}.
 
-    Zero when lam has more than n rows.  The default table has families
-    x (arity n) and z (arity m).
+    Zero when lam has more than n rows.
     """
-    if table is None:
-        table = VarTable([("x", n), ("z", m)])
-    if len(lam) > n:
+    if len(lam) > table.arity("x"):
         return MultiPoly.zero(table)
-    return MultiPoly(table, Counter(descent_monomial(table, pp)
-                                    for pp in gen_pp_shape(lam, m)))
+    return MultiPoly(table, Counter(
+        descent_monomial(table, pp)
+        for pp in gen_pp_shape(lam, table.arity("z"))))
 
 
-def g_jacobi_trudi(lam: Partition, zs: Sequence[MultiPoly]) -> MultiPoly:
+def g_jacobi_trudi(table: VarTable, lam: Partition,
+                   zs: Sequence[MultiPoly]) -> MultiPoly:
     """The Jacobi-Trudi determinant for the dual Grothendieck polynomial:
     det[e_{lam'_i - i + j}(1^{lam'_i - 1}, zs)] of size lam_1.
     """
-    if not zs:
-        raise ValueError("need at least one value")
-    table = zs[0].table
     return _dual_jacobi_trudi(
-        lam, lambda column: ones(table, column - 1) + list(zs), table)
+        table, lam, lambda column: ones(table, column - 1) + list(zs))
 
 
 def square_free_coefficient(p: MultiPoly) -> int:

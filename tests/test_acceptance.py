@@ -104,17 +104,19 @@ def test_09_determinant_forms():
                 table = VarTable([("z", m)])
                 zs = family_vars(table, "z")
                 rho = Partition.rectangle(k, n)
-                assert g_combinatorial(rho, zs) == \
-                    schur_specialized(rho, ones(table, n - 1) + zs)
+                assert g_combinatorial(table, rho, zs) == \
+                    schur_specialized(table, rho, ones(table, n - 1) + zs)
                 total = MultiPoly.zero(table)
                 for lam in gen_partitions_in_box(k, n):
-                    total = total + g_combinatorial(lam, zs)
-                assert total == schur_specialized(rho, ones(table, n) + zs)
+                    total = total + g_combinatorial(table, lam, zs)
+                assert total == \
+                    schur_specialized(table, rho, ones(table, n) + zs)
     for m in (1, 2, 3):
         table = VarTable([("z", m)])
         zs = family_vars(table, "z")
         for lam in gen_partitions_in_box(3, 3):
-            assert g_combinatorial(lam, zs) == g_jacobi_trudi(lam, zs)
+            assert g_combinatorial(table, lam, zs) == \
+                g_jacobi_trudi(table, lam, zs)
 
 
 def test_10_strict_tableau_counts():

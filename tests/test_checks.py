@@ -81,6 +81,10 @@ class TestIndividualChecks:
 
     def test_corner_volume(self):
         assert check_corner_volume(2, 2, 2).passed
+        # a box with a zero side holds only the empty plane partition,
+        # whose base is the empty k x 0 rectangle
+        assert check_corner_volume(1, 0, 1).passed
+        assert check_corner_volume(1, 1, 0).passed
 
     def test_frobenius(self):
         assert check_frobenius(2, 2).passed
@@ -99,6 +103,21 @@ class TestIndividualChecks:
 
     def test_superadditivity(self):
         assert check_superadditivity(2, 2, 2).passed
+
+    @pytest.mark.parametrize("check, args", [
+        (check_macmahon_box, (0, 0, 0)),
+        (check_qschur, (0, 0, 0)),
+        (check_uh_des, (0, 0, 2)),
+        (check_gl, (1, 0, 2)),
+        (check_cauchy_type, (0, 1, 2)),
+        (check_uh_restricted, ("rows", 0, 3)),
+        (check_uh_restricted, ("entries", 0, 3)),
+    ])
+    def test_degenerate_instance(self, check, args):
+        # a zero side leaves empty products, sums and determinants: the
+        # enumerated side is the empty plane partition alone, or nothing
+        r = check(*args)
+        assert r.passed, (r.first_diff, r.notes)
 
 
 def weak_descents(self):
@@ -248,7 +267,7 @@ class TestMutationSensitivity:
         # last value of every row
         monkeypatch.setattr(
             "ppbij.symfun.elementary_all",
-            lambda kmax, vals: elementary_all(kmax, vals[:-1]))
+            lambda table, kmax, vals: elementary_all(table, kmax, vals[:-1]))
         r = check(2, 2, 2)
         assert r.passed is False
         assert r.first_diff is not None
@@ -338,7 +357,7 @@ class TestSuite:
             raise RuntimeError("injected")
 
         monkeypatch.setitem(CHECKS, "greene", boom)
-        results = run_all("small")
+        results = list(run_all("small"))
         assert len(results) == len(load_grids()["small"]) == 117
         failed = [r for r in results if not r.passed]
         assert failed and all(r.check_name == "greene" for r in failed)
@@ -349,3 +368,51 @@ class TestSuite:
 
         assert main(["verify", "all"]) == 1
         assert "FAIL greene" in capsys.readouterr().out
+
+    def test_first_record_is_written_before_the_last_entry_starts(
+            self, monkeypatch, capsys):
+        entries = load_grids()["small"]
+        seen = []
+
+        def fake_entry(entry):
+            if entry is entries[-1]:
+                seen.append(capsys.readouterr().out)
+            return CheckResult(entry["check"], entry["params"], True, "", "",
+                               None, 0.0)
+
+        monkeypatch.setattr("ppbij.checks.load_grids",
+                            lambda: {"small": entries})
+        monkeypatch.setattr("ppbij.checks._run_entry", fake_entry)
+        assert main(["verify", "all", "--json"]) == 0
+        assert len(seen) == 1
+        assert seen[0].count("\n") == len(entries) - 1
+        assert seen[0].startswith('{"check": "%s"' % entries[0]["check"])
+
+    def test_pool_is_sized_by_the_entry_count(self, monkeypatch):
+        # a stand-in executor that records its size and maps in-process,
+        # so no process is started
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            Recorder)
+        first = next(iter(run_all("small", workers=10 ** 6)))
+        assert first.passed
+        assert sizes == [len(load_grids()["small"])] == [117]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_rejected(self, capsys, workers):
+        assert main(["verify", "all", "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err

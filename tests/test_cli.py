@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ppbij.checks import CHECKS
 from ppbij.cli import main
 
 GOLDEN_PP = "[[4,4,2],[4,2,1],[2,2]]"
@@ -129,6 +130,16 @@ class TestEnumerate:
         ["verify", "superadditivity", "--k", "3", "--n", "3", "--m", "3"],
         ["verify", "uh_restricted", "--mode", "entries", "--bound", "2000",
          "--N", "2"],
+        # negative parameters are rejected, with or without the caps
+        ["verify", "gexp", "--shape", "2,1", "--N", "-3"],
+        ["enumerate", "box", "-1", "2", "2"],
+        ["enumerate", "box", "-1", "2", "2", "--unsafe-no-caps"],
+        ["verify", "infinite_volume", "--N", "-1", "--unsafe-no-caps"],
+        ["verify", "uh_restricted", "--mode", "rows", "--bound", "-1",
+         "--N", "3"],
+        ["verify", "multivariate", "--n", "-1", "--m", "2", "--N", "3",
+         "--unsafe-no-caps"],
+        ["enumerate", "words", "--n", "-2", "--m", "3"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -161,6 +172,11 @@ class TestDalpha:
         code, _, err = run(capsys, "dalpha", "--alpha", "1",
                            "--n", "2", "--m", "2")
         assert code == 2
+
+    def test_negative_alpha_rejected(self, capsys):
+        code, _, err = run(capsys, "dalpha", "--alpha=-1,2",
+                           "--n", "2", "--m", "2")
+        assert code == 2 and "negative" in err
 
 
 class TestGreene:
@@ -198,6 +214,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "gexp", "--shape", shape)
         assert code == 2
         assert "cap" in err
+
+    def test_raising_check_is_a_fail_record(self, capsys, monkeypatch):
+        # one check, like verify all, reports an exception as a FAIL
+        def boom(n, m):
+            raise RuntimeError("injected")
+
+        monkeypatch.setitem(CHECKS, "greene", boom)
+        code, out, err = run(capsys, "verify", "greene", "--n", "2",
+                             "--m", "2")
+        assert code == 1 and err == ""
+        assert out.startswith("FAIL greene n=2 m=2")
+        assert "RuntimeError: injected" in out
 
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "verify", "gl", "--n", "2", "--m", "2",

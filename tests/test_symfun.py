@@ -26,29 +26,34 @@ class TestSchur:
             table = VarTable([("z", m)])
             zs = family_vars(table, "z")
             for lam in shapes_in_cube():
-                assert schur_combinatorial(lam, zs) == \
-                    schur_specialized(lam, zs)
+                assert schur_combinatorial(table, lam, zs) == \
+                    schur_specialized(table, lam, zs)
 
     def test_symmetry(self):
         zs = zvars()
-        p = schur_combinatorial(Partition([2, 1]), zs)
+        p = schur_combinatorial(ZT3, Partition([2, 1]), zs)
         for perm in itertools.permutations(range(3)):
             permuted = MultiPoly(ZT3, {tuple(exp[i] for i in perm): c
                                        for exp, c in p.terms.items()})
             assert permuted == p
 
     def test_empty_shape(self):
-        assert schur_specialized(Partition(), zvars()) == MultiPoly.one(ZT3)
+        assert schur_specialized(ZT3, Partition(), zvars()) == \
+            MultiPoly.one(ZT3)
+        # no values: s_() is the empty determinant 1, s_(1) the empty sum
+        assert schur_specialized(ZT3, Partition(), []) == MultiPoly.one(ZT3)
+        assert schur_specialized(ZT3, Partition([1]), []).is_zero()
 
     def test_too_many_rows_vanish(self):
         # a column-strict filling needs at least len(lam) distinct values
-        assert schur_combinatorial(Partition([1, 1]), zvars(1,
-            VarTable([("z", 1)]))).is_zero()
+        zt1 = VarTable([("z", 1)])
+        assert schur_combinatorial(zt1, Partition([1, 1]),
+                                   zvars(1, zt1)).is_zero()
 
     def test_principal_specialization(self):
         # s_(1,1)(q, q^2, q^3) = e_2 at those powers
         QT = VarTable([("q", 1)])
-        got = schur_specialized(Partition([1, 1]), q_powers(QT, 1, 3))
+        got = schur_specialized(QT, Partition([1, 1]), q_powers(QT, 1, 3))
         assert got == MultiPoly(QT, {(3,): 1, (4,): 1, (5,): 1})
 
 
@@ -58,7 +63,8 @@ class TestDualGrothendieck:
             table = VarTable([("z", m)])
             zs = family_vars(table, "z")
             for lam in shapes_in_cube():
-                assert g_combinatorial(lam, zs) == g_jacobi_trudi(lam, zs)
+                assert g_combinatorial(table, lam, zs) == \
+                    g_jacobi_trudi(table, lam, zs)
 
     def test_rectangle_is_specialized_schur(self):
         for k in (1, 2, 3):
@@ -67,8 +73,8 @@ class TestDualGrothendieck:
                     table = VarTable([("z", m)])
                     zs = family_vars(table, "z")
                     rho = Partition.rectangle(k, n)
-                    assert g_combinatorial(rho, zs) == \
-                        schur_specialized(rho, ones(table, n - 1) + zs)
+                    assert g_combinatorial(table, rho, zs) == \
+                        schur_specialized(table, rho, ones(table, n - 1) + zs)
 
     def test_sum_over_shapes_in_rectangle(self):
         for k in (1, 2):
@@ -78,22 +84,23 @@ class TestDualGrothendieck:
                     zs = family_vars(table, "z")
                     total = MultiPoly.zero(table)
                     for lam in gen_partitions_in_box(k, n):
-                        total = total + g_combinatorial(lam, zs)
+                        total = total + g_combinatorial(table, lam, zs)
                     rho = Partition.rectangle(k, n)
-                    assert total == schur_specialized(rho, ones(table, n) + zs)
+                    assert total == \
+                        schur_specialized(table, rho, ones(table, n) + zs)
 
     def test_branching_one_extra_value(self):
         table = VarTable([("z", 2)])
         zs = family_vars(table, "z")
         rho = Partition.rectangle(2, 2)
-        lhs = g_combinatorial(rho, [MultiPoly.one(table)] + zs)
+        lhs = g_combinatorial(table, rho, [MultiPoly.one(table)] + zs)
         rhs = MultiPoly.zero(table)
         for lam in gen_partitions_in_box(2, 2):
-            rhs = rhs + g_combinatorial(lam, zs)
+            rhs = rhs + g_combinatorial(table, lam, zs)
         assert lhs == rhs
 
     def test_symmetry(self):
-        p = g_combinatorial(Partition([2, 1]), zvars())
+        p = g_combinatorial(ZT3, Partition([2, 1]), zvars())
         for perm in itertools.permutations(range(3)):
             permuted = MultiPoly(ZT3, {tuple(exp[i] for i in perm): c
                                        for exp, c in p.terms.items()})
@@ -102,33 +109,34 @@ class TestDualGrothendieck:
     def test_top_degree_is_schur(self):
         zs = zvars()
         for lam in gen_partitions_in_box(2, 2):
-            g = g_combinatorial(lam, zs)
+            g = g_combinatorial(ZT3, lam, zs)
             top = MultiPoly(ZT3, {e: c for e, c in g.terms.items()
                                   if sum(e) == lam.size()})
-            assert top == schur_combinatorial(lam, zs)
+            assert top == schur_combinatorial(ZT3, lam, zs)
 
 
 class TestRefined:
     def test_zero_above_row_bound(self):
-        assert g_refined(Partition([1, 1, 1]), 2, 2).is_zero()
+        table = VarTable([("x", 2), ("z", 2)])
+        assert g_refined(table, Partition([1, 1, 1])).is_zero()
 
     def test_z_specialization(self):
         # forgetting the x alphabet recovers the one-alphabet polynomial
         lam = Partition([2, 1])
         n, m = 3, 2
         table = VarTable([("x", n), ("z", m)])
-        refined = g_refined(lam, n, m, table)
+        refined = g_refined(table, lam)
         zt = VarTable([("z", m)])
         collapsed: dict = {}
         for exp, c in refined.terms.items():
             ze = tuple(exp[table.index("z", i)] for i in range(1, m + 1))
             collapsed[ze] = collapsed.get(ze, 0) + c
         assert MultiPoly(zt, collapsed) == \
-            g_combinatorial(lam, family_vars(zt, "z"))
+            g_combinatorial(zt, lam, family_vars(zt, "z"))
 
     def test_balanced_degrees(self):
         table = VarTable([("x", 2), ("z", 2)])
-        g = g_refined(Partition([2, 1]), 2, 2, table)
+        g = g_refined(table, Partition([2, 1]))
         for exp in g.terms:
             xdeg = sum(exp[table.family_slice("x")])
             zdeg = sum(exp[table.family_slice("z")])
@@ -140,11 +148,11 @@ class TestRefined:
         lam = Partition([2, 1])
         n = m = 2
         table = VarTable([("x", n), ("z", m)])
-        g = g_refined(lam, n, m, table)
+        g = g_refined(table, lam)
         top = MultiPoly(table, {e: c for e, c in g.terms.items()
                                 if sum(e) == 2 * lam.size()})
         zt = VarTable([("z", m)])
-        schur = schur_combinatorial(lam, family_vars(zt, "z"))
+        schur = schur_combinatorial(zt, lam, family_vars(zt, "z"))
         expect_terms = {}
         for ze, c in schur.terms.items():
             exp = [0] * table.nvars
