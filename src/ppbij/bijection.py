@@ -15,7 +15,10 @@ def phi(pp: PlanePartition, n: int, m: int) -> NMatrix:
     """
     if pp.n_rows() > n or pp.max_entry() > m:
         raise ValueError("out of domain PP(inf,n,m)")
-    return NMatrix(kernels.phi_counts(pp.rows, n, m), n, m)
+    counts = [[0] * m for _ in range(n)]
+    for i, _, v in pp._descents():
+        counts[i - 1][v - 1] += 1
+    return NMatrix(counts, n, m)
 
 
 def phi_inverse(D: NMatrix) -> PlanePartition:
@@ -46,22 +49,12 @@ def max_downright_path_weight(D: NMatrix, start: Cell, end: Cell) -> int:
     return best_prev[-1]
 
 
-def word_to_matrix(w: Word) -> NMatrix:
-    """The m x n 0/1 matrix with a single 1 per column, at row w_i in
-    column i.
-    """
-    n = len(w)
-    rows = [[0] * n for _ in range(w.m)]
-    for pos, letter in enumerate(w):
-        rows[letter - 1][pos] = 1
-    return NMatrix(rows, w.m, n)
-
-
 def word_to_strict_tableau(w: Word) -> PlanePartition:
     """The strict tableau with filling [n] associated to a word of
-    length n: the inverse map applied to the word's 0/1 matrix.
+    length n: the inverse map applied to the word's m x n 0/1 matrix,
+    whose column p holds a single 1 at row w_p.
     """
-    return phi_inverse(word_to_matrix(w))
+    return PlanePartition(kernels.word_tableau_rows(w.letters))
 
 
 def is_strict_tableau(pp: PlanePartition, n: int) -> bool:

@@ -26,8 +26,8 @@ from .bijection import greene_shape, phi, phi_inverse, \
     strict_tableau_to_word, word_to_strict_tableau
 from .core import NMatrix, Partition
 from .enumeration import column_strict_contents, compositions, \
-    count_D_alpha, dominates, f_lambda, gen_matrices, gen_partitions_in_box, \
-    gen_pp_box, gen_words, skew_schur_ones
+    count_D_alpha, dominates, f_lambda, gen_matrix_images, \
+    gen_partitions_in_box, gen_pp_box, gen_words, skew_schur_ones
 from .poly import MultiPoly, Truncation, VarTable, format_monomial, \
     product_series
 from .symfun import descent_monomial, family_vars, g_combinatorial, \
@@ -198,8 +198,8 @@ def check_multivariate(n: int, m: int, N: int) -> CheckResult:
 
     def lhs_at(window: int) -> MultiPoly:
         return MultiPoly(table, Counter(
-            descent_monomial(table, phi_inverse(D))
-            for D in gen_matrices(n, m, window))).truncate(trunc)
+            descent_monomial(table, pp)
+            for pp in gen_matrix_images(n, m, window))).truncate(trunc)
 
     lhs = lhs_at(N // 2)
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
@@ -268,8 +268,8 @@ def check_uh_des(n: int, m: int, N: int) -> CheckResult:
     trunc = Truncation(family_caps={"q": N})
 
     def lhs_at(window: int) -> MultiPoly:
-        pps = (phi_inverse(D) for D in
-               gen_matrices(n, m, window, weight=lambda i, l: i + l - 1))
+        pps = gen_matrix_images(n, m, window,
+                                weight=lambda i, l: i + l - 1)
         return MultiPoly(_TQT, Counter(
             (pp.descent_count(), pp.up_hook_volume()) for pp in pps
         )).truncate(trunc)
@@ -296,9 +296,8 @@ def check_equidistribution(N: int) -> CheckResult:
         return _build("equidistribution", {"N": N}, [("series", one, one)], t0)
 
     def lhs_uh(window: int) -> MultiPoly:
-        pps = (phi_inverse(D) for D in
-               gen_matrices(N + 1, N + 1, window,
-                            weight=lambda i, l: i + l - 1))
+        pps = gen_matrix_images(N + 1, N + 1, window,
+                                weight=lambda i, l: i + l - 1)
         return MultiPoly(_TQT, Counter(
             (pp.descent_count(), pp.up_hook_volume()) for pp in pps
         )).truncate(trunc)
@@ -330,9 +329,8 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
     n_cols = bound if mode == "entries" else N
 
     def lhs_at(window: int) -> MultiPoly:
-        pps = (phi_inverse(D) for D in
-               gen_matrices(n_rows, n_cols, window,
-                            weight=lambda i, l: i + l - 1))
+        pps = gen_matrix_images(n_rows, n_cols, window,
+                                weight=lambda i, l: i + l - 1)
         return MultiPoly(_QT, Counter(
             (pp.up_hook_volume(),) for pp in pps)).truncate(trunc)
 
@@ -366,8 +364,7 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     trunc = Truncation(max_total=N)
 
     def lhs3_at(window: int) -> MultiPoly:
-        pps = (phi_inverse(D) for D in
-               gen_matrices(n, m, window, weight=lambda i, l: l))
+        pps = gen_matrix_images(n, m, window, weight=lambda i, l: l)
         return MultiPoly(_QT, Counter(
             (pp.corner_volume(),) for pp in pps)).truncate(trunc)
 
@@ -481,7 +478,9 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
                 sym_fail += 1
             if da != expansion[alpha]:
                 kostka_fail += 1
-            prod = math.prod(math.comb(n + a - 1, a) for a in alpha)
+            # multisets of size a from n values; one empty one at n = 0
+            prod = math.prod(math.comb(n + a - 1, a) if n else int(a == 0)
+                             for a in alpha)
             if count_D_alpha(None, n, m, alpha) != prod:
                 product_fail += 1
         for alpha in alphas:

@@ -3,9 +3,9 @@ tables, enumerate families, and run the identity-check suites.
 
 Exit codes: 0 success (all checks pass), 1 domain error or check
 failure, 2 usage error (malformed input, unknown name, parameter caps).
-All output is deterministic for fixed inputs: polynomials print in
-descending graded-lexicographic order and JSON keys are emitted in a
-fixed order.
+All output is deterministic for fixed inputs: the generating polynomial
+of `enumerate --gf` prints in ascending degree and JSON keys are emitted
+in a fixed order.
 """
 
 from __future__ import annotations

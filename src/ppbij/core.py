@@ -315,8 +315,8 @@ class Word:
 
     def __init__(self, letters: Iterable[int], m: int):
         letters = tuple(int(v) for v in letters)
-        if m < 1:
-            raise ValueError("alphabet size must be positive")
+        if m < 0:
+            raise ValueError("alphabet size must be nonnegative")
         if any(not 1 <= v <= m for v in letters):
             raise ValueError("letter out of alphabet range")
         self.letters = letters

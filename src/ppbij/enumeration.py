@@ -1,14 +1,17 @@
 """Exhaustive generators for the combinatorial families (boxed plane
-partitions, fillings of a fixed shape, N-matrices, words, strict
-tableaux) and exact counters built on them (content tallies, skew Schur
-evaluations at all-ones, descent enumeration counts).
+partitions, fillings of a fixed shape, inverse-map images of weighted
+matrix windows, words, strict tableaux) and exact counters built on them
+(content tallies, skew Schur evaluations at all-ones, descent
+enumeration counts).
 
 All generators are deterministic: depth-first in lexicographic order of a
 canonical encoding, so golden tests on listings are order-stable.
 
-The plane-partition generators wrap kernel rows with the trusted
-`PlanePartition._from_rows` instead of validating each member again;
-the tests compare their output with the validating constructor.
+The box, shape and strict-tableau generators wrap kernel rows with the
+trusted `PlanePartition._from_rows` instead of validating each member
+again; the tests compare their output with the validating constructor.
+`gen_matrix_images` validates each inverse-map image: no check compares
+those images with a direct enumeration yet.
 """
 
 from __future__ import annotations
@@ -43,8 +46,13 @@ def gen_partitions_in_box(k: int, n: int) -> Iterator[Partition]:
 def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
                ) -> Iterator[PlanePartition]:
     """All plane partitions in the k x n x m box, optionally restricted
-    to volume <= max_volume.
+    to volume <= max_volume.  A negative side or max_volume raises
+    ValueError naming it.
     """
+    for name, value in (("k", k), ("n", n), ("m", m),
+                        ("max_volume", max_volume)):
+        if value is not None and value < 0:
+            raise ValueError(f"box {name}={value} is negative")
     for rows in kernels.pp_box(k, n, m, max_volume):
         yield PlanePartition._from_rows(rows)
 
@@ -63,10 +71,12 @@ def gen_column_strict(lam: Partition, m: int) -> Iterator[PlanePartition]:
         yield PlanePartition._from_rows(rows)
 
 
-def gen_matrices(n: int, m: int, bound: int,
-                 weight: Callable[[int, int], int] | None = None
-                 ) -> Iterator[NMatrix]:
-    """All n x m N-matrices D with sum(D[i][l] * weight(i, l)) <= bound.
+def gen_matrix_images(n: int, m: int, bound: int,
+                      weight: Callable[[int, int], int] | None = None
+                      ) -> Iterator[PlanePartition]:
+    """The inverse-map images of the n x m N-matrices D with
+    sum(D[i][l] * weight(i, l)) <= bound, each validated: plane
+    partitions with at most n rows and entries <= m.
 
     weight defaults to the constant 1 (a plain total-sum bound) and must
     be positive everywhere, otherwise the family is infinite.
@@ -75,7 +85,7 @@ def gen_matrices(n: int, m: int, bound: int,
     grid = tuple(tuple(weight(i, l) for l in range(1, m + 1))
                  for i in range(1, n + 1))
     for entries in kernels.matrices_weighted(n, m, grid, bound):
-        yield NMatrix(entries, n, m)
+        yield PlanePartition(kernels.phi_inverse_rows(entries, n, m))
 
 
 def gen_words(n: int, m: int) -> Iterator[Word]:

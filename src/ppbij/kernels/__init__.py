@@ -5,16 +5,16 @@ package re-exports it.  BACKEND names it for the run headers.
 """
 
 from ._pure import BACKEND, insert_level, lis_tail, matrices_weighted, \
-    phi_counts, phi_inverse_rows, pp_box, pp_shape, row_candidates
+    phi_inverse_rows, pp_box, pp_shape, row_candidates, word_tableau_rows
 
 __all__ = [
     "BACKEND",
     "insert_level",
     "lis_tail",
     "matrices_weighted",
-    "phi_counts",
     "phi_inverse_rows",
     "pp_box",
     "pp_shape",
     "row_candidates",
+    "word_tableau_rows",
 ]

@@ -135,23 +135,6 @@ def matrices_weighted(n, m, weights, bound):
     return results
 
 
-def phi_counts(rows, n, m):
-    """Descent level counts d[i][l] of a plane partition given as row
-    tuples; returns an n x m grid (tuple of row tuples).
-    """
-    d = [[0] * m for _ in range(n)]
-    n_rows = len(rows)
-    for i in range(n_rows):
-        row = rows[i]
-        below = rows[i + 1] if i + 1 < n_rows else ()
-        for j in range(len(row)):
-            v = row[j]
-            under = below[j] if j < len(below) else 0
-            if v > under:
-                d[i][v - 1] += 1
-    return tuple(tuple(r) for r in d)
-
-
 def insert_level(rows, level, i):
     """One insertion step of the inverse map, in place on `rows` (a list
     of row lists forming a plane partition): fill the leftmost column of
@@ -190,6 +173,17 @@ def phi_inverse_rows(entries, n, m):
         for i in range(n, 0, -1):
             for _ in range(entries[i - 1][l - 1]):
                 insert_level(rows, l, i)
+    return tuple(map(tuple, rows))
+
+
+def word_tableau_rows(letters):
+    """The inverse map on a word's 0/1 matrix, whose column p holds a
+    single 1 at row letters[p-1]: rebuild the strict tableau (row
+    tuples) by inserting p at row letters[p-1] for p = n..1.
+    """
+    rows = []
+    for p in range(len(letters), 0, -1):
+        insert_level(rows, p, letters[p - 1])
     return tuple(map(tuple, rows))
 
 

@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+from ppbij import kernels
 from ppbij.bijection import greene_shape, phi, phi_inverse, \
     word_to_strict_tableau
 from ppbij.checks import check_cauchy_type, check_corner_volume, \
@@ -18,7 +19,7 @@ from ppbij.checks import check_cauchy_type, check_corner_volume, \
     check_greene, check_macmahon_box, check_multivariate, \
     check_superadditivity, check_uh_des
 from ppbij.core import NMatrix, Partition, PlanePartition, Word
-from ppbij.enumeration import gen_matrices, gen_partitions_in_box, gen_pp_box
+from ppbij.enumeration import gen_partitions_in_box, gen_pp_box
 from ppbij.poly import MultiPoly, VarTable
 from ppbij.symfun import family_vars, g_combinatorial, g_jacobi_trudi, ones, \
     schur_specialized
@@ -43,7 +44,8 @@ def test_02_roundtrip_suites():
     t0 = time.perf_counter()
     for pp in gen_pp_box(3, 3, 3):
         assert phi_inverse(phi(pp, 3, 3)) == pp
-    for D in gen_matrices(3, 3, 5):
+    for entries in kernels.matrices_weighted(3, 3, [[1] * 3] * 3, 5):
+        D = NMatrix(entries, 3, 3)
         assert phi(phi_inverse(D), 3, 3) == D
     assert time.perf_counter() - t0 < 5.0
 
@@ -78,8 +80,9 @@ def test_06_joint_distribution_and_slice():
     assert check_equidistribution(4).passed
     # independent derivation of the t=1 slice up to degree 4
     coeffs = [0] * 5
-    for D in gen_matrices(5, 5, 4, weight=lambda i, l: i + l - 1):
-        coeffs[phi_inverse(D).up_hook_volume()] += 1
+    hooks = [[i + l - 1 for l in range(1, 6)] for i in range(1, 6)]
+    for entries in kernels.matrices_weighted(5, 5, hooks, 4):
+        coeffs[phi_inverse(NMatrix(entries, 5, 5)).up_hook_volume()] += 1
     assert coeffs == [1, 1, 3, 6, 13]
     assert time.perf_counter() - t0 < 30.0
 

@@ -3,15 +3,44 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ppbij import kernels
 from ppbij.bijection import greene_shape, is_strict_tableau, lis_tail, \
     max_downright_path_weight, phi, phi_inverse, strict_tableau_to_word, \
-    word_to_matrix, word_to_strict_tableau
+    word_to_strict_tableau
 from ppbij.core import Cell, NMatrix, Partition, PlanePartition, Word
-from ppbij.enumeration import gen_matrices, gen_pp_box, gen_words
+from ppbij.enumeration import gen_pp_box, gen_words
 
 GOLDEN_PP = PlanePartition([[4, 4, 2], [4, 2, 1], [2, 2]])
 GOLDEN_MATRIX = NMatrix([[0, 1, 0, 1], [1, 0, 0, 1], [0, 2, 0, 0]])
+
+
+def gen_matrices(n, m, bound):
+    """The n x m N-matrices with entry sum <= bound, from the matrix
+    kernel.
+    """
+    for entries in kernels.matrices_weighted(n, m, [[1] * m] * n, bound):
+        yield NMatrix(entries, n, m)
+
+
+def word_to_matrix(w: Word) -> NMatrix:
+    """The m x n 0/1 matrix with a single 1 per column, at row w_i in
+    column i: the word map's input, kept as a reference that the
+    letter-by-letter map is compared with through phi_inverse.
+    """
+    n = len(w)
+    rows = [[0] * n for _ in range(w.m)]
+    for pos, letter in enumerate(w):
+        rows[letter - 1][pos] = 1
+    return NMatrix(rows, w.m, n)
+
+
+@st.composite
+def long_words(draw):
+    m = draw(st.integers(1, 9))
+    letters = draw(st.lists(st.integers(1, m), min_size=60, max_size=120))
+    return Word(letters, m)
 
 
 class TestPhi:
@@ -93,6 +122,22 @@ class TestWordMaps:
     def test_word_to_matrix(self):
         w = Word([2, 1, 2], 3)
         assert word_to_matrix(w) == NMatrix([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
+
+    def test_matches_matrix_reference_on_short_words(self):
+        # every word of length <= 6 over at most 4 letters, the empty
+        # word over the empty alphabet included
+        for m in range(5):
+            for n in range(7):
+                for w in gen_words(n, m):
+                    assert word_to_strict_tableau(w) == \
+                        phi_inverse(word_to_matrix(w)), w
+
+    @given(long_words())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_matrix_reference_on_long_words(self, w):
+        st = word_to_strict_tableau(w)
+        assert st == phi_inverse(word_to_matrix(w))
+        assert strict_tableau_to_word(st, w.m) == w
 
     def test_golden_strict_tableau(self):
         st = word_to_strict_tableau(Word.from_digits("132434", 4))

@@ -12,10 +12,11 @@ from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
     check_frobenius, check_gexp, check_gl, check_greene, \
     check_infinite_volume, check_macmahon_box, check_multivariate, \
     check_qschur, check_superadditivity, check_uh_des, check_uh_restricted, \
-    load_grids, run_all
+    _run_entry, load_grids, run_all
 from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition, Word
 from ppbij.enumeration import gen_pp_box, gen_pp_shape
+from ppbij.kernels import _pure
 from ppbij.poly import MultiPoly, VarTable, elementary_all
 
 
@@ -112,12 +113,28 @@ class TestIndividualChecks:
         (check_cauchy_type, (0, 1, 2)),
         (check_uh_restricted, ("rows", 0, 3)),
         (check_uh_restricted, ("entries", 0, 3)),
+        (check_dalpha, (1, 0, 1, 2)),
+        (check_frobenius, (0, 0)),
+        (check_greene, (0, 0)),
     ])
     def test_degenerate_instance(self, check, args):
         # a zero side leaves empty products, sums and determinants: the
-        # enumerated side is the empty plane partition alone, or nothing
+        # enumerated side is the empty plane partition alone, or nothing;
+        # over zero values only the empty multiset and the empty word
+        # remain
         r = check(*args)
         assert r.passed, (r.first_diff, r.notes)
+
+    @pytest.mark.parametrize("check, params", [
+        ("macmahon_box", {"k": 2, "n": 2, "m": -1}),
+        ("qschur", {"k": 2, "n": 2, "m": -1}),
+        ("corner_volume", {"k": 2, "n": 2, "m": -1}),
+        ("dalpha", {"k": 2, "n": 2, "m": -1, "N_max": 2}),
+    ])
+    def test_negative_side_is_a_fail_record(self, check, params):
+        r = _run_entry({"check": check, "params": params})
+        assert r.passed is False
+        assert r.notes[0] == "ValueError: box m=-1 is negative"
 
 
 def weak_descents(self):
@@ -157,6 +174,24 @@ TALLIED_MUTANTS = [
     ("column_counts", check_gl, (2, 2, 3)),
     ("column_counts", check_gexp, (Partition([2, 1]),)),
     ("volume", check_infinite_volume, (4,)),
+]
+
+
+# the checks that read the inverse map (phi_inverse, the word map or the
+# matrix-window images), with instances of at least two rows
+ROW_SENSITIVE = [
+    (check_multivariate, (2, 2, 4)),
+    (check_uh_des, (2, 2, 4)),
+    (check_equidistribution, (3,)),
+    (check_uh_restricted, ("entries", 2, 4)),
+    (check_uh_restricted, ("rows", 2, 4)),
+    (check_frobenius, (3, 3)),
+    (check_greene, (3, 3)),
+    (check_superadditivity, (2, 2, 2)),
+]
+LEVEL_SENSITIVE = ROW_SENSITIVE + [
+    (check_corner_volume, (2, 2, 2)),
+    (check_dalpha, (2, 2, 2, 2)),
 ]
 
 
@@ -308,6 +343,33 @@ class TestMutationSensitivity:
         assert r.passed is False
         assert r.first_diff[0] == "product_formula_failures"
 
+    @catches(*(check_name(check) for check, _ in ROW_SENSITIVE))
+    @pytest.mark.parametrize("check, args", ROW_SENSITIVE)
+    def test_insertion_one_row_short_is_caught(self, monkeypatch, check,
+                                               args):
+        # the inverse map fills each new column down to row i-1 instead
+        # of row i (row 1 stays row 1); the corner volume and the column
+        # counts do not read the row index, so corner_volume and dalpha
+        # cannot see this fault
+        insert_level = _pure.insert_level
+        monkeypatch.setattr(_pure, "insert_level", lambda rows, level, i:
+                            insert_level(rows, level, max(i - 1, 1)))
+        r = check(*args)
+        assert r.passed is False
+        assert r.first_diff is not None
+
+    @catches(*(check_name(check) for check, _ in LEVEL_SENSITIVE))
+    @pytest.mark.parametrize("check, args", LEVEL_SENSITIVE)
+    def test_insertion_one_level_low_is_caught(self, monkeypatch, check,
+                                               args):
+        # the inverse map inserts level-1 in place of level (the zeros
+        # it makes at level 1 are trimmed)
+        insert_level = _pure.insert_level
+        monkeypatch.setattr(_pure, "insert_level", lambda rows, level, i:
+                            insert_level(rows, level - 1, i))
+        r = check(*args)
+        assert r.passed is False
+        assert r.first_diff is not None
 
     def test_every_check_has_a_mutant(self):
         assert set(MUTANTS) == set(CHECKS)

@@ -280,3 +280,11 @@ class TestWord:
             Word([1, 5], 4)
         with pytest.raises(ValueError):
             Word([0], 2)
+
+    def test_empty_alphabet(self):
+        # the empty word is the one word over no letters
+        assert len(Word([], 0)) == 0
+        with pytest.raises(ValueError, match="letter out of alphabet"):
+            Word([1], 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Word([], -1)

@@ -6,12 +6,14 @@ from itertools import permutations, product
 
 import pytest
 
-from ppbij.bijection import is_strict_tableau
-from ppbij.core import Partition, PlanePartition
+from ppbij import kernels
+from ppbij.bijection import is_strict_tableau, phi_inverse
+from ppbij.core import NMatrix, Partition, PlanePartition
 from ppbij.enumeration import column_strict_contents, compositions, \
-    count_D_alpha, dominates, f_lambda, gen_column_strict, gen_matrices, \
-    gen_matrices_column_sums, gen_partitions_in_box, gen_pp_box, \
-    gen_pp_shape, gen_strict_tableaux, gen_words, skew_schur_ones
+    count_D_alpha, dominates, f_lambda, gen_column_strict, \
+    gen_matrices_column_sums, gen_matrix_images, gen_partitions_in_box, \
+    gen_pp_box, gen_pp_shape, gen_strict_tableaux, gen_words, \
+    skew_schur_ones
 
 
 def box_product(k, n, m) -> int:
@@ -66,6 +68,13 @@ class TestBoxedPlanePartitions:
         # bijection onto the box with entries one smaller
         assert len(exact) == sum(1 for _ in gen_pp_box(2, 2, 1))
 
+    @pytest.mark.parametrize("args, name", [
+        ((-1, 2, 2), "k=-1"), ((2, -1, 2), "n=-1"), ((2, 2, -1), "m=-1"),
+        ((2, 2, 2, -1), "max_volume=-1")])
+    def test_negative_side_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            list(gen_pp_box(*args))
+
 
 class TestTrustedOutput:
     """gen_pp_box, gen_pp_shape, gen_column_strict and gen_strict_tableaux
@@ -110,18 +119,39 @@ class TestShapeFillings:
 class TestMatricesAndWords:
     def test_matrix_count_unweighted(self):
         # entry sum <= 2 over 4 cells: C(4,0)+C(4,1)... via stars and bars
-        got = list(gen_matrices(2, 2, 2))
+        got = kernels.matrices_weighted(2, 2, [[1, 1], [1, 1]], 2)
         assert len(got) == sum(math.comb(4 + s - 1, s) for s in range(3))
         assert len(set(got)) == len(got)
 
     def test_matrix_weighted_bound(self):
-        for D in gen_matrices(2, 2, 3, weight=lambda i, l: i + l - 1):
-            assert sum(D.entry(i, l) * (i + l - 1)
+        for d in kernels.matrices_weighted(2, 2, [[1, 2], [2, 3]], 3):
+            assert sum(d[i - 1][l - 1] * (i + l - 1)
                        for i in range(1, 3) for l in range(1, 3)) <= 3
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            list(gen_matrices(1, 2, 3, weight=lambda i, l: l - 1))
+            kernels.matrices_weighted(1, 2, [[0, 1]], 3)
+        with pytest.raises(ValueError):
+            list(gen_matrix_images(1, 2, 3, weight=lambda i, l: l - 1))
+
+    @pytest.mark.parametrize("weight", [
+        None, lambda i, l: i + l - 1, lambda i, l: l])
+    def test_matrix_images_are_the_inverse_map_of_the_window(self, weight):
+        # in the window's order, the image of each matrix of the kernel
+        # under the public inverse map
+        for n, m, bound in product(range(4), range(4), range(5)):
+            grid = [[(weight or (lambda i, l: 1))(i, l)
+                     for l in range(1, m + 1)] for i in range(1, n + 1)]
+            expected = [phi_inverse(NMatrix(entries, n, m)) for entries in
+                        kernels.matrices_weighted(n, m, grid, bound)]
+            assert list(gen_matrix_images(n, m, bound, weight)) == expected
+
+    def test_matrix_images_are_validated(self, monkeypatch):
+        # rows that are no plane partition raise instead of being wrapped
+        monkeypatch.setattr(kernels, "phi_inverse_rows",
+                            lambda entries, n, m: ((1,), (2,)))
+        with pytest.raises(ValueError, match="columns must be weakly"):
+            list(gen_matrix_images(1, 1, 1))
 
     def test_word_count(self):
         assert sum(1 for _ in gen_words(4, 3)) == 81

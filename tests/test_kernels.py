@@ -70,6 +70,24 @@ def phi_inverse_by_columns(entries, n, m):
     )
 
 
+def phi_counts_reference(rows, n, m):
+    """The count-matrix kernel that phi's descent tally replaced, kept as
+    a reference: d[i][l] counts the cells of row i with value l above a
+    smaller value (absent cells read 0).
+    """
+    d = [[0] * m for _ in range(n)]
+    n_rows = len(rows)
+    for i in range(n_rows):
+        row = rows[i]
+        below = rows[i + 1] if i + 1 < n_rows else ()
+        for j in range(len(row)):
+            v = row[j]
+            under = below[j] if j < len(below) else 0
+            if v > under:
+                d[i][v - 1] += 1
+    return tuple(tuple(r) for r in d)
+
+
 def columns_of(rows):
     width = len(rows[0]) if rows else 0
     return [[row[j] for row in rows if len(row) > j] for j in range(width)]
@@ -87,8 +105,8 @@ class TestSelection:
     def test_backend_reexports(self):
         assert kernels.BACKEND == "pure"
         for name in ("row_candidates", "pp_box", "pp_shape",
-                     "matrices_weighted", "phi_counts", "phi_inverse_rows",
-                     "insert_level", "lis_tail"):
+                     "matrices_weighted", "phi_inverse_rows",
+                     "word_tableau_rows", "insert_level", "lis_tail"):
             assert hasattr(kernels, name)
 
 
@@ -177,6 +195,13 @@ class TestInverseMap:
         n, m, entries = matrix
         D = NMatrix(entries, n, m)
         assert phi(phi_inverse(D), n, m) == D
+
+    @given(count_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_phi_matches_count_reference(self, matrix):
+        n, m, entries = matrix
+        pp = phi_inverse(NMatrix(entries, n, m))
+        assert phi(pp, n, m).entries == phi_counts_reference(pp.rows, n, m)
 
 
 def load_micro():
