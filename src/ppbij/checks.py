@@ -9,10 +9,15 @@ Series checks enumerate over a finite window (volume-bounded plane
 partitions or weight-bounded matrices); the finiteness argument is
 enforced at run time by recomputing with the window enlarged by one step
 and requiring identical truncated output.
+
+Each record also carries a SHA-256 digest of each side's values, so a
+fault that keeps every term count but changes a coefficient still shows
+against a recorded run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -48,6 +53,7 @@ class CheckResult:
     first_diff: tuple[str, str, str] | None
     elapsed: float
     notes: list[str] = field(default_factory=list)
+    digest: dict[str, str] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -57,6 +63,7 @@ class CheckResult:
             "lhs": self.lhs_summary,
             "rhs": self.rhs_summary,
             "first_diff": list(self.first_diff) if self.first_diff else None,
+            "digest": self.digest,
             "elapsed": round(self.elapsed, 6),
             "notes": self.notes,
         }
@@ -72,6 +79,19 @@ def _poly_diff(label: str, lhs: MultiPoly, rhs: MultiPoly):
             mono = format_monomial(names, exp) or "1"
             return (f"{label}:{mono}", str(a), str(b))
     return None
+
+
+def _side_digest(sides) -> str:
+    """SHA-256 over (label, value) for each labelled side: a polynomial's
+    terms sorted by exponent, any other value as its string.
+    """
+    h = hashlib.sha256()
+    for label, side in sides:
+        value = sorted(side.terms.items()) if isinstance(side, MultiPoly) \
+            else str(side)
+        h.update(json.dumps([label, value], separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def _build(name: str, params: dict, pairs, t0: float,
@@ -92,6 +112,8 @@ def _build(name: str, params: dict, pairs, t0: float,
             rhs_bits.append(f"{label}: {rhs}")
             if first_diff is None and lhs != rhs:
                 first_diff = (label, str(lhs), str(rhs))
+    digest = {"lhs": _side_digest((label, lhs) for label, lhs, _ in pairs),
+              "rhs": _side_digest((label, rhs) for label, _, rhs in pairs)}
     return CheckResult(
         check_name=name,
         parameters=params,
@@ -101,6 +123,7 @@ def _build(name: str, params: dict, pairs, t0: float,
         first_diff=first_diff,
         elapsed=time.perf_counter() - t0,
         notes=notes or [],
+        digest=digest,
     )
 
 

@@ -1,5 +1,6 @@
 """The named identity checks and the suite runner."""
 
+import hashlib
 from collections import Counter
 from itertools import zip_longest
 
@@ -7,8 +8,9 @@ import pytest
 
 from ppbij import kernels
 from ppbij.bijection import phi_inverse, strict_tableau_to_word
-from ppbij.checks import CHECKS, CheckResult, _poly_diff, check_cauchy_type, \
-    check_corner_volume, check_dalpha, check_equidistribution, \
+from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
+    check_cauchy_type, check_corner_volume, check_dalpha, \
+    check_equidistribution, \
     check_frobenius, check_gexp, check_gl, check_greene, \
     check_infinite_volume, check_macmahon_box, check_multivariate, \
     check_qschur, check_superadditivity, check_uh_des, check_uh_restricted, \
@@ -387,6 +389,25 @@ class TestResultObject:
     def test_failure_carries_diff(self):
         r = CheckResult("x", {}, False, "a", "b", ("s:q", "1", "2"), 0.1)
         assert r.to_json()["first_diff"] == ["s:q", "1", "2"]
+
+    def test_digest_pins_coefficients(self):
+        # 1 + 2q and 1 + 3q have the same term count: only the digest
+        # tells them apart in a record
+        table = VarTable([("q", 1)])
+        a = MultiPoly(table, {(0,): 1, (1,): 2})
+        b = MultiPoly(table, {(0,): 1, (1,): 3})
+        same = _build("x", {}, [("s", a, a), ("n", 4, 4)], 0.0)
+        diff = _build("x", {}, [("s", a, b), ("n", 4, 4)], 0.0)
+        assert same.lhs_summary == diff.rhs_summary
+        assert same.digest["lhs"] == same.digest["rhs"] == diff.digest["lhs"]
+        assert diff.digest["lhs"] != diff.digest["rhs"]
+        relabelled = _build("x", {}, [("t", a, a), ("n", 4, 4)], 0.0)
+        assert relabelled.digest["lhs"] != same.digest["lhs"]
+        # the 1x1x1 box: 1 + q, and 2 plane partitions
+        box = hashlib.sha256(b'["q_poly",[[[0],1],[[1],1]]]\n'
+                             b'["count","2"]\n').hexdigest()
+        assert check_macmahon_box(1, 1, 1).to_json()["digest"] == {
+            "lhs": box, "rhs": box}
 
 
 class TestSuite:
