@@ -6,9 +6,12 @@ closed-form product or determinant on the other) and reports exact
 equality with a term-level diff.  There are no tolerances anywhere.
 
 Series checks enumerate over a finite window (volume-bounded plane
-partitions or weight-bounded matrices); the finiteness argument is
-enforced at run time by recomputing with the window enlarged by one step
-and requiring identical truncated output.
+partitions, weight-bounded matrices or width-bounded shapes); the
+finiteness argument is enforced at run time by comparing the truncated
+output with that of the window enlarged by one step.  One pass over the
+enlarged window yields both: every object carries the least window that
+holds it, and those inside the base window are tallied twice
+(`_window_pair`).
 
 Each record also carries a SHA-256 digest of each side's values, so a
 fault that keeps every term count but changes a coefficient still shows
@@ -17,7 +20,6 @@ against a recorded run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -85,6 +87,7 @@ def _side_digest(sides) -> str:
     """SHA-256 over (label, value) for each labelled side: a polynomial's
     terms sorted by exponent, any other value as its string.
     """
+    import hashlib  # maps OpenSSL: 3-4 MB and ~5 ms, paid by a check only
     h = hashlib.sha256()
     for label, side in sides:
         value = sorted(side.terms.items()) if isinstance(side, MultiPoly) \
@@ -133,6 +136,24 @@ _TQT = VarTable([("t", 1), ("q", 1)])
 
 def _q(power: int = 1) -> MultiPoly:
     return MultiPoly.var(_QT, "q", 1, power=power)
+
+
+def _window_pair(table: VarTable, trunc: Truncation, window: int,
+                 items) -> tuple[MultiPoly, MultiPoly]:
+    """A series check's enumerated side at `window` and at window + 1,
+    both truncated, from one pass over the enlarged window.  `items`
+    yields (weight, exponent, coefficient) for each term of each object
+    of the enlarged window, weight being the least window that holds the
+    object.
+    """
+    base: Counter[tuple[int, ...]] = Counter()
+    enlarged: Counter[tuple[int, ...]] = Counter()
+    for weight, exp, coef in items:
+        enlarged[exp] += coef
+        if weight <= window:
+            base[exp] += coef
+    return (MultiPoly(table, base).truncate(trunc),
+            MultiPoly(table, enlarged).truncate(trunc))
 
 
 # -- individual checks -------------------------------------------------
@@ -218,18 +239,14 @@ def check_multivariate(n: int, m: int, N: int) -> CheckResult:
     t0 = time.perf_counter()
     table = VarTable([("x", n), ("z", m)])
     trunc = Truncation(max_total=N)
-
-    def lhs_at(window: int) -> MultiPoly:
-        return MultiPoly(table, Counter(
-            descent_monomial(table, pp)
-            for pp in gen_matrix_images(n, m, window))).truncate(trunc)
-
-    lhs = lhs_at(N // 2)
+    lhs, enlarged = _window_pair(table, trunc, N // 2, (
+        (w, descent_monomial(table, pp), 1)
+        for w, pp in gen_matrix_images(n, m, N // 2 + 1)))
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
     rhs = product_series(table, [(x * z, 1) for x in xs for z in zs], trunc)
     return _build("multivariate", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
-                   ("window_stable", lhs, lhs_at(N // 2 + 1))], t0)
+                   ("window_stable", lhs, enlarged)], t0)
 
 
 def check_cauchy_type(n: int, m: int, N: int) -> CheckResult:
@@ -245,19 +262,15 @@ def check_cauchy_type(n: int, m: int, N: int) -> CheckResult:
     t0 = time.perf_counter()
     table = VarTable([("x", n), ("z", m)])
     trunc = Truncation(max_total=N)
-
-    def lhs_at(width: int) -> MultiPoly:
-        terms: Counter[tuple[int, ...]] = Counter()
-        for lam in gen_partitions_in_box(width, n):
-            terms.update(g_refined(table, lam).terms)
-        return MultiPoly(table, terms).truncate(trunc)
-
-    lhs = lhs_at(N // 2)
+    lhs, enlarged = _window_pair(table, trunc, N // 2, (
+        (lam.part(1), exp, coef)
+        for lam in gen_partitions_in_box(N // 2 + 1, n)
+        for exp, coef in g_refined(table, lam).terms.items()))
     xs, zs = family_vars(table, "x"), family_vars(table, "z")
     rhs = product_series(table, [(x * z, 1) for x in xs for z in zs], trunc)
     return _build("cauchy_type", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
-                   ("window_stable", lhs, lhs_at(N // 2 + 1))], t0)
+                   ("window_stable", lhs, enlarged)], t0)
 
 
 def check_gl(n: int, m: int, N: int) -> CheckResult:
@@ -268,18 +281,14 @@ def check_gl(n: int, m: int, N: int) -> CheckResult:
     table = VarTable([("z", m)])
     zs = family_vars(table, "z")
     trunc = Truncation(max_total=N)
-
-    def lhs_at(width: int) -> MultiPoly:
-        terms: Counter[tuple[int, ...]] = Counter()
-        for lam in gen_partitions_in_box(width, n):
-            terms.update(g_combinatorial(table, lam, zs).terms)
-        return MultiPoly(table, terms).truncate(trunc)
-
-    lhs = lhs_at(N)
+    lhs, enlarged = _window_pair(table, trunc, N, (
+        (lam.part(1), exp, coef)
+        for lam in gen_partitions_in_box(N + 1, n)
+        for exp, coef in g_combinatorial(table, lam, zs).terms.items()))
     rhs = product_series(table, [(z, n) for z in zs], trunc)
     return _build("gl", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
-                   ("window_stable", lhs, lhs_at(N + 1))], t0)
+                   ("window_stable", lhs, enlarged)], t0)
 
 
 def check_uh_des(n: int, m: int, N: int) -> CheckResult:
@@ -289,22 +298,17 @@ def check_uh_des(n: int, m: int, N: int) -> CheckResult:
     """
     t0 = time.perf_counter()
     trunc = Truncation(family_caps={"q": N})
-
-    def lhs_at(window: int) -> MultiPoly:
-        pps = gen_matrix_images(n, m, window,
-                                weight=lambda i, l: i + l - 1)
-        return MultiPoly(_TQT, Counter(
-            (pp.descent_count(), pp.up_hook_volume()) for pp in pps
-        )).truncate(trunc)
-
-    lhs = lhs_at(N)
+    lhs, enlarged = _window_pair(_TQT, trunc, N, (
+        (w, (pp.descent_count(), pp.up_hook_volume()), 1)
+        for w, pp in gen_matrix_images(n, m, N + 1,
+                                       weight=lambda i, l: i + l - 1)))
     t = MultiPoly.var(_TQT, "t")
     factors = [(t * MultiPoly.var(_TQT, "q", 1, power=i + j - 1), 1)
                for i in range(1, m + 1) for j in range(1, n + 1)]
     rhs = product_series(_TQT, factors, trunc)
     return _build("uh_des", {"n": n, "m": m, "N": N},
                   [("series", lhs, rhs),
-                   ("window_stable", lhs, lhs_at(N + 1))], t0)
+                   ("window_stable", lhs, enlarged)], t0)
 
 
 def check_equidistribution(N: int) -> CheckResult:
@@ -318,14 +322,10 @@ def check_equidistribution(N: int) -> CheckResult:
         one = MultiPoly.one(_TQT)
         return _build("equidistribution", {"N": N}, [("series", one, one)], t0)
 
-    def lhs_uh(window: int) -> MultiPoly:
-        pps = gen_matrix_images(N + 1, N + 1, window,
-                                weight=lambda i, l: i + l - 1)
-        return MultiPoly(_TQT, Counter(
-            (pp.descent_count(), pp.up_hook_volume()) for pp in pps
-        )).truncate(trunc)
-
-    lhs = lhs_uh(N)
+    lhs, enlarged = _window_pair(_TQT, trunc, N, (
+        (w, (pp.descent_count(), pp.up_hook_volume()), 1)
+        for w, pp in gen_matrix_images(N + 1, N + 1, N + 1,
+                                       weight=lambda i, l: i + l - 1)))
     vol_side = MultiPoly(_TQT, Counter(
         (pp.trace(), pp.volume())
         for pp in gen_pp_box(N, N, N, max_volume=N)))
@@ -336,7 +336,7 @@ def check_equidistribution(N: int) -> CheckResult:
     return _build("equidistribution", {"N": N},
                   [("uh_vs_product", lhs, rhs),
                    ("vol_vs_product", vol_side, rhs),
-                   ("window_stable", lhs, lhs_uh(N + 1))], t0)
+                   ("window_stable", lhs, enlarged)], t0)
 
 
 def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
@@ -351,18 +351,15 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
     n_rows = N if mode == "entries" else bound
     n_cols = bound if mode == "entries" else N
 
-    def lhs_at(window: int) -> MultiPoly:
-        pps = gen_matrix_images(n_rows, n_cols, window,
-                                weight=lambda i, l: i + l - 1)
-        return MultiPoly(_QT, Counter(
-            (pp.up_hook_volume(),) for pp in pps)).truncate(trunc)
-
-    lhs = lhs_at(N)
+    lhs, enlarged = _window_pair(_QT, trunc, N, (
+        (w, (pp.up_hook_volume(),), 1)
+        for w, pp in gen_matrix_images(n_rows, n_cols, N + 1,
+                                       weight=lambda i, l: i + l - 1)))
     rhs = product_series(
         _QT, [(_q(j), min(j, bound)) for j in range(1, N + 1)], trunc)
     return _build("uh_restricted", {"mode": mode, "bound": bound, "N": N},
                   [("series", lhs, rhs),
-                   ("window_stable", lhs, lhs_at(N + 1))], t0)
+                   ("window_stable", lhs, enlarged)], t0)
 
 
 def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
@@ -385,13 +382,9 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     rhs2 = schur_specialized(_QT, rho, ones(_QT, n - 1) + q_powers(_QT, 1, m))
 
     trunc = Truncation(max_total=N)
-
-    def lhs3_at(window: int) -> MultiPoly:
-        pps = gen_matrix_images(n, m, window, weight=lambda i, l: l)
-        return MultiPoly(_QT, Counter(
-            (pp.corner_volume(),) for pp in pps)).truncate(trunc)
-
-    lhs3 = lhs3_at(N)
+    lhs3, enlarged = _window_pair(_QT, trunc, N, (
+        (w, (pp.corner_volume(),), 1)
+        for w, pp in gen_matrix_images(n, m, N + 1, weight=lambda i, l: l)))
     rhs3 = product_series(_QT, [(_q(i), n) for i in range(1, m + 1)], trunc)
 
     slice_lhs = sum(lhs2.terms.values())
@@ -402,7 +395,7 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
                   [("box_q1", lhs1, rhs1),
                    ("exact_q2", lhs2, rhs2),
                    ("unbounded_q3", lhs3, rhs3),
-                   ("window_stable", lhs3, lhs3_at(N + 1)),
+                   ("window_stable", lhs3, enlarged),
                    ("q2_at_1", slice_lhs, slice_rhs)], t0)
 
 

@@ -230,8 +230,10 @@ def cmd_enumerate(args) -> int:
         if args.shape is None or args.m is None:
             raise UsageError("enumerate shape needs --shape and --m")
         lam = _parse_shape(args.shape)
+        # the fillings lie in the shape's bounding box
         _check_caps(args, dims=[("shape rows", len(lam)),
-                                ("shape width", lam.part(1)), ("m", args.m)])
+                                ("shape width", lam.part(1)), ("m", args.m)],
+                    box=(lam.part(1), len(lam), args.m))
         items = gen_pp_shape(lam, args.m)
     elif args.family == "st":
         if args.shape is None or args.n is None:
@@ -361,6 +363,13 @@ def cmd_verify(args) -> int:
         box = tuple(supplied.get(d) for d in ("k", "n", "m"))
         dims = list(zip(("k", "n", "m", "bound"),
                         box + (supplied.get("bound"),)))
+        if args.name in ("gl", "cauchy_type"):
+            # both sum, over the shapes of a width x n box, the fillings
+            # with entries <= m: the plane partitions of the width x n x m
+            # box, width being the enlarged window
+            N = supplied["N"]
+            width = N + 1 if args.name == "gl" else N // 2 + 1
+            box = (width, supplied["n"], supplied["m"])
         lam = supplied.pop("lam", None)
         if lam is not None:
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]

@@ -11,13 +11,17 @@ The box, shape and strict-tableau generators wrap kernel rows with the
 trusted `PlanePartition._from_rows` instead of validating each member
 again; the tests compare their output with the validating constructor.
 `gen_matrix_images` validates each inverse-map image: no check compares
-those images with a direct enumeration yet.
+those images with a direct enumeration yet.  It pairs each image with
+its matrix's weighted sum, so that a series check enumerates only its
+enlarged window and reads the base window off the pairs of weight at
+most the base bound.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from . import kernels
@@ -73,10 +77,14 @@ def gen_column_strict(lam: Partition, m: int) -> Iterator[PlanePartition]:
 
 def gen_matrix_images(n: int, m: int, bound: int,
                       weight: Callable[[int, int], int] | None = None
-                      ) -> Iterator[PlanePartition]:
-    """The inverse-map images of the n x m N-matrices D with
-    sum(D[i][l] * weight(i, l)) <= bound, each validated: plane
-    partitions with at most n rows and entries <= m.
+                      ) -> Iterator[tuple[int, PlanePartition]]:
+    """(sum(D[i][l] * weight(i, l)), image) for each n x m N-matrix D
+    whose weighted sum is at most bound, in the kernel's order.  Each
+    image is D's inverse-map image, validated: a plane partition with at
+    most n rows and entries <= m.
+
+    The images of weight <= b are those of the window of bound b, so
+    one pass over a window also yields every smaller window.
 
     weight defaults to the constant 1 (a plain total-sum bound) and must
     be positive everywhere, otherwise the family is infinite.
@@ -84,8 +92,10 @@ def gen_matrix_images(n: int, m: int, bound: int,
     weight = weight or (lambda i, l: 1)
     grid = tuple(tuple(weight(i, l) for l in range(1, m + 1))
                  for i in range(1, n + 1))
+    flat = tuple(itertools.chain.from_iterable(grid))
     for entries in kernels.matrices_weighted(n, m, grid, bound):
-        yield PlanePartition(kernels.phi_inverse_rows(entries, n, m))
+        total = sum(map(mul, itertools.chain.from_iterable(entries), flat))
+        yield total, PlanePartition(kernels.phi_inverse_rows(entries, n, m))
 
 
 def gen_words(n: int, m: int) -> Iterator[Word]:

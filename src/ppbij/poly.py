@@ -8,7 +8,10 @@ deterministic.  Nothing here is ever floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -95,6 +98,17 @@ class Truncation:
                 return False
         return True
 
+    def _caps(self, table: VarTable) -> list[tuple[slice, int]]:
+        """(variables, cap) for each cap: the total cap over every
+        variable first, then each family cap over its family.
+        """
+        out = []
+        if self.max_total is not None:
+            out.append((slice(0, table.nvars), self.max_total))
+        for family, cap in self.family_caps.items():
+            out.append((table.family_slice(family), cap))
+        return out
+
 
 def _grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
@@ -125,6 +139,17 @@ class MultiPoly:
             if coef:
                 clean[exp] = int(coef)
         self.terms = clean
+
+    @classmethod
+    def _from_terms(cls, table: VarTable, terms: dict) -> "MultiPoly":
+        """Wrap arithmetic output without validating it: `terms` must
+        already map exponent tuples of length table.nvars to nonzero
+        ints.  Public input goes through __init__.
+        """
+        poly = object.__new__(cls)
+        poly.table = table
+        poly.terms = terms
+        return poly
 
     # -- constructors --------------------------------------------------
 
@@ -211,21 +236,35 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def mul_truncated(self, other: "MultiPoly", trunc: Truncation | None) -> "MultiPoly":
-        """Product, dropping result monomials outside the truncation."""
+        """Product, dropping result monomials outside the truncation.
+
+        No pair over the first cap is formed: the right factor's terms
+        are sorted once by their degree under that cap, and each left
+        term runs only over the prefix that still fits.  A second cap is
+        tested on each product exponent.
+        """
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
         table = self.table
+        caps = trunc._caps(table) if trunc is not None else []
+        several = len(caps) > 1
+        right = list(other.terms.items())
+        if caps:
+            variables, cap = caps[0]
+            right.sort(key=lambda term: sum(term[0][variables]))
+            degrees = [sum(e[variables]) for e, _ in right]
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if trunc is not None and not trunc.keeps(table, exp):
+            fits = right
+            if caps:
+                room = cap - sum(e1[variables])
+                fits = islice(right, bisect_right(degrees, room))
+            for e2, c2 in fits:
+                exp = tuple(map(add, e1, e2))
+                if several and not trunc.keeps(table, exp):
                     continue
-                c = out.get(exp, 0) + c1 * c2
-                if c:
-                    out[exp] = c
-                else:
-                    del out[exp]
-        return MultiPoly(table, out)
+                out[exp] = get(exp, 0) + c1 * c2
+        return MultiPoly._from_terms(table, {e: c for e, c in out.items() if c})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:

@@ -6,7 +6,7 @@ from itertools import zip_longest
 
 import pytest
 
-from ppbij import kernels
+from ppbij import checks, kernels
 from ppbij.bijection import phi_inverse, strict_tableau_to_word
 from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     check_cauchy_type, check_corner_volume, check_dalpha, \
@@ -17,9 +17,12 @@ from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     _run_entry, load_grids, run_all
 from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition, Word
-from ppbij.enumeration import gen_pp_box, gen_pp_shape
+from ppbij.enumeration import gen_matrix_images, gen_partitions_in_box, \
+    gen_pp_box, gen_pp_shape
 from ppbij.kernels import _pure
-from ppbij.poly import MultiPoly, VarTable, elementary_all
+from ppbij.poly import MultiPoly, Truncation, VarTable, elementary_all
+from ppbij.symfun import descent_monomial, family_vars, g_combinatorial, \
+    g_refined
 
 
 class TestPolyDiff:
@@ -375,6 +378,76 @@ class TestMutationSensitivity:
 
     def test_every_check_has_a_mutant(self):
         assert set(MUTANTS) == set(CHECKS)
+
+
+def images_at(table, n, m, weight, stat):
+    """lhs_at(window) as the series checks computed it before they read
+    both windows off one pass, untruncated: the tally of stat over the
+    window's matrix images, one enumeration per window.
+    """
+    def lhs_at(window):
+        return MultiPoly(table, Counter(
+            stat(pp) for _, pp in gen_matrix_images(n, m, window, weight)))
+    return lhs_at
+
+
+def shapes_at(table, n, poly):
+    """lhs_at(width) for gl and cauchy_type, one enumeration per width,
+    untruncated: the sum of poly(lam) over the shapes in the width x n
+    box.
+    """
+    def lhs_at(width):
+        terms = Counter()
+        for lam in gen_partitions_in_box(width, n):
+            terms.update(poly(lam).terms)
+        return MultiPoly(table, terms)
+    return lhs_at
+
+
+_XZ = VarTable([("x", 2), ("z", 2)])
+_Z = VarTable([("z", 2)])
+_QT = VarTable([("q", 1)])
+_TQT = VarTable([("t", 1), ("q", 1)])
+_UH = lambda i, l: i + l - 1  # noqa: E731
+_DES_UH = lambda pp: (pp.descent_count(), pp.up_hook_volume())  # noqa: E731
+
+# (check, arguments, its base window, the reference at any window)
+WINDOW_PAIRS = [
+    (check_multivariate, (2, 2, 4), 2, images_at(
+        _XZ, 2, 2, None, lambda pp: descent_monomial(_XZ, pp))),
+    (check_uh_des, (2, 3, 4), 4, images_at(_TQT, 2, 3, _UH, _DES_UH)),
+    (check_equidistribution, (3,), 3, images_at(_TQT, 4, 4, _UH, _DES_UH)),
+    (check_uh_restricted, ("entries", 2, 4), 4, images_at(
+        _QT, 4, 2, _UH, lambda pp: (pp.up_hook_volume(),))),
+    (check_uh_restricted, ("rows", 2, 4), 4, images_at(
+        _QT, 2, 4, _UH, lambda pp: (pp.up_hook_volume(),))),
+    (check_corner_volume, (2, 2, 2, 4), 4, images_at(
+        _QT, 2, 2, lambda i, l: l, lambda pp: (pp.corner_volume(),))),
+    (check_gl, (2, 2, 3), 3, shapes_at(
+        _Z, 2, lambda lam: g_combinatorial(_Z, lam, family_vars(_Z, "z")))),
+    (check_cauchy_type, (2, 2, 5), 2, shapes_at(
+        _XZ, 2, lambda lam: g_refined(_XZ, lam))),
+]
+
+
+@pytest.mark.parametrize("check, args, window, lhs_at", WINDOW_PAIRS)
+def test_window_pair_matches_two_enumerations(monkeypatch, check, args,
+                                              window, lhs_at):
+    # before truncation, the one-pass pair each series check compares
+    # equals enumerating the base and the enlarged window separately
+    pairs = []
+    one_pass = checks._window_pair
+
+    def record(table, trunc, base, items):
+        items = list(items)
+        pairs.append((base, one_pass(table, Truncation(), base, items)))
+        return one_pass(table, trunc, base, items)
+
+    monkeypatch.setattr(checks, "_window_pair", record)
+    assert check(*args).passed
+    assert pairs == [(window, (lhs_at(window), lhs_at(window + 1)))]
+    base, enlarged = pairs[0][1]
+    assert base.terms and base != enlarged
 
 
 class TestResultObject:

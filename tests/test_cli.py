@@ -140,11 +140,27 @@ class TestEnumerate:
         ["verify", "multivariate", "--n", "-1", "--m", "2", "--N", "3",
          "--unsafe-no-caps"],
         ["enumerate", "words", "--n", "-2", "--m", "3"],
+        # the work of gl and cauchy_type is the plane partitions of the
+        # enlarged window's box; each of these ran past 30 s uncapped
+        ["verify", "gl", "--n", "4", "--m", "4", "--N", "8"],
+        ["verify", "cauchy_type", "--n", "5", "--m", "5", "--N", "10"],
+        # the fillings of a shape lie in its bounding box
+        ["enumerate", "shape", "--shape", "5,5,5,5,5", "--m", "5"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv, out", [
+        (["verify", "gl", "--n", "2", "--m", "2", "--N", "5"], "1/1"),
+        (["verify", "cauchy_type", "--n", "2", "--m", "2", "--N", "6"],
+         "1/1"),
+        (["enumerate", "shape", "--shape", "2,1", "--m", "2"], "5"),
+    ])
+    def test_work_caps_admit_small_instances(self, capsys, argv, out):
+        code, got, _ = run(capsys, *argv)
+        assert code == 0 and got.splitlines()[-1].startswith(out)
 
     def test_word_count_cap_admits_5_pow_8(self, capsys):
         code, out, _ = run(capsys, "enumerate", "words", "--n", "8",

@@ -137,14 +137,19 @@ class TestMatricesAndWords:
     @pytest.mark.parametrize("weight", [
         None, lambda i, l: i + l - 1, lambda i, l: l])
     def test_matrix_images_are_the_inverse_map_of_the_window(self, weight):
-        # in the window's order, the image of each matrix of the kernel
-        # under the public inverse map
+        # in the window's order, each matrix of the kernel's weighted sum
+        # sum(d * w), paired with its image under the public inverse map
         for n, m, bound in product(range(4), range(4), range(5)):
             grid = [[(weight or (lambda i, l: 1))(i, l)
                      for l in range(1, m + 1)] for i in range(1, n + 1)]
-            expected = [phi_inverse(NMatrix(entries, n, m)) for entries in
-                        kernels.matrices_weighted(n, m, grid, bound)]
-            assert list(gen_matrix_images(n, m, bound, weight)) == expected
+            expected = [
+                (sum(d * w for row, wrow in zip(entries, grid)
+                     for d, w in zip(row, wrow)),
+                 phi_inverse(NMatrix(entries, n, m)))
+                for entries in kernels.matrices_weighted(n, m, grid, bound)]
+            pairs = list(gen_matrix_images(n, m, bound, weight))
+            assert pairs == expected
+            assert all(w <= bound for w, _ in pairs)
 
     def test_matrix_images_are_validated(self, monkeypatch):
         # rows that are no plane partition raise instead of being wrapped

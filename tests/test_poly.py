@@ -94,6 +94,50 @@ class TestArithmetic:
             MultiPoly.one(T2) + MultiPoly.one(other)
 
 
+XQ = VarTable([("x", 2), ("q", 1)])
+PRUNING_TRUNCATIONS = [
+    None,
+    Truncation(max_total=3),
+    Truncation(family_caps={"q": 1}),
+    Truncation(max_total=4, family_caps={"x": 2}),
+    Truncation(family_caps={"x": 1, "q": 2}),
+]
+
+
+def naive_product(a, b, trunc):
+    """Every pair of terms multiplied, then truncated: the reference
+    that mul_truncated's pruned loop must agree with.
+    """
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(u + v for u, v in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    full = MultiPoly(a.table, out)
+    return full if trunc is None else full.truncate(trunc)
+
+
+class TestPrunedProduct:
+    @pytest.mark.parametrize("trunc", PRUNING_TRUNCATIONS)
+    @given(poly_strategy(XQ, max_exp=2, max_coef=2),
+           poly_strategy(XQ, max_exp=2, max_coef=2))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_product(self, trunc, a, b):
+        got = a.mul_truncated(b, trunc)
+        assert got == naive_product(a, b, trunc)
+        assert all(got.terms.values())
+        assert all(len(e) == XQ.nvars for e in got.terms)
+
+    @pytest.mark.parametrize("trunc", PRUNING_TRUNCATIONS)
+    def test_cancelled_terms_are_dropped(self, trunc):
+        # (x1 - q)(x1 + q) = x1^2 - q^2: the cross terms cancel to zero
+        x1, q = MultiPoly.var(XQ, "x", 1), MultiPoly.var(XQ, "q")
+        got = (x1 - q).mul_truncated(x1 + q, trunc)
+        assert got == naive_product(x1 - q, x1 + q, trunc)
+        assert (0, 0, 1) not in got.terms and (1, 0, 1) not in got.terms
+        assert 0 not in got.terms.values()
+
+
 class TestRendering:
     def test_str_deterministic_order(self):
         x = MultiPoly.var(T2, "x")
