@@ -87,7 +87,9 @@ def _side_digest(sides) -> str:
     """SHA-256 over (label, value) for each labelled side: a polynomial's
     terms sorted by exponent, any other value as its string.
     """
-    import hashlib  # maps OpenSSL: 3-4 MB and ~5 ms, paid by a check only
+    # imported here, not with the module: hashlib maps OpenSSL (3-4 MB
+    # of RSS, ~5 ms), which only a check's record needs
+    import hashlib
     h = hashlib.sha256()
     for label, side in sides:
         value = sorted(side.terms.items()) if isinstance(side, MultiPoly) \

@@ -10,11 +10,10 @@ from ppbij import checks, kernels
 from ppbij.bijection import phi_inverse, strict_tableau_to_word
 from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     check_cauchy_type, check_corner_volume, check_dalpha, \
-    check_equidistribution, \
-    check_frobenius, check_gexp, check_gl, check_greene, \
-    check_infinite_volume, check_macmahon_box, check_multivariate, \
-    check_qschur, check_superadditivity, check_uh_des, check_uh_restricted, \
-    _run_entry, load_grids, run_all
+    check_equidistribution, check_frobenius, check_gexp, check_gl, \
+    check_greene, check_infinite_volume, check_macmahon_box, \
+    check_multivariate, check_qschur, check_superadditivity, check_uh_des, \
+    check_uh_restricted, _run_entry, load_grids, run_all
 from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition, Word
 from ppbij.enumeration import gen_matrix_images, gen_partitions_in_box, \
