@@ -93,6 +93,7 @@ def lis_tail(w: Word, i: int) -> int:
 
 
 def greene_shape(w: Word) -> Partition:
-    """The partition (L_m(w), ..., L_1(w)), trailing zeros trimmed."""
-    vals = [lis_tail(w, i) for i in range(w.m, 0, -1)]
-    return Partition(v for v in vals if v > 0)
+    """The partition (L_m(w), ..., L_1(w)), trailing zeros trimmed, from
+    one pass over the word.
+    """
+    return Partition(reversed(kernels.lis_tails(w.letters, w.m)))

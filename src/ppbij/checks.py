@@ -154,8 +154,12 @@ def _window_pair(table: VarTable, trunc: Truncation, window: int,
         enlarged[exp] += coef
         if weight <= window:
             base[exp] += coef
-    return (MultiPoly(table, base).truncate(trunc),
-            MultiPoly(table, enlarged).truncate(trunc))
+
+    def truncated(side: Counter[tuple[int, ...]]) -> MultiPoly:
+        return MultiPoly(table, {exp: coef for exp, coef in side.items()
+                                 if trunc.keeps(table, exp)})
+
+    return truncated(base), truncated(enlarged)
 
 
 # -- individual checks -------------------------------------------------

@@ -30,7 +30,8 @@ CAP_N = 12
 CAP_WORD = 10
 # Boxes are also capped by their exact size (MacMahon's product), since
 # 5x5x5 passes CAP_BOX but holds 267,227,532 plane partitions; 10**6
-# admits 4x4x4 (232,848) and 3x5x5 (731,808).
+# admits 4x4x4 (232,848) and 3x5x5 (731,808).  It also caps the cells
+# `map inv` may build, sum(i * d[i][l]).
 CAP_BOX_COUNT = 10 ** 6
 # gexp builds dual Grothendieck polynomials in up to n_max variables:
 # n_max = 8 takes seconds, 9 over a minute.
@@ -52,12 +53,13 @@ class DomainError(Exception):
 
 
 def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
-                words=None, box_pairs=False):
+                words=None, box_pairs=False, cells=None):
     """Raise UsageError for the first negative parameter, and for the
     first parameter over its cap unless --unsafe-no-caps was given.
     `box` is a (k, n, m) triple whose plane partitions the command
     enumerates, all pairs of them if `box_pairs`; `words` is an (n, m)
-    pair whose m^n words it enumerates.
+    pair whose m^n words it enumerates; `cells` bounds the cells of the
+    one plane partition the command builds.
     """
     for what, value in [*dims, ("N", N), ("word length", word_len),
                         ("n_max", n_max)]:
@@ -77,6 +79,8 @@ def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
     cap(f"N={N}", N, CAP_N)
     cap(f"word length {word_len}", word_len, CAP_WORD)
     cap(f"n_max={n_max}", n_max, CAP_GEXP_N)
+    cap(f"the image's cell bound {cells} (the sum of i*d[i][l])", cells,
+        CAP_BOX_COUNT)
     if words is not None:
         n, m = words
         cap(f"the word count {m}^{n}", m ** n, CAP_WORD_COUNT)
@@ -170,6 +174,9 @@ def cmd_map(args) -> int:
         _emit(args, [json.dumps([list(r) for r in D.entries])], D.to_json())
     elif args.direction == "inv":
         D = _parse_matrix(_read_input(args, "matrix"))
+        # d[i][l] insertions at row i add at most i cells each
+        _check_caps(args, cells=sum(
+            i * sum(row) for i, row in enumerate(D.entries, 1)))
         try:
             pp = phi_inverse(D)
         except ValueError as exc:

@@ -265,14 +265,15 @@ class NMatrix:
 
     def __init__(self, entries: Iterable[Iterable[int]], n_rows: int | None = None,
                  n_cols: int | None = None):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if n_rows is None:
             n_rows = len(rows)
         if n_cols is None:
             n_cols = len(rows[0]) if rows else 0
-        if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
+        if len(rows) != n_rows or \
+                list(map(len, rows)).count(n_cols) != len(rows):
             raise ValueError("ragged or mis-sized matrix")
-        if any(v < 0 for r in rows for v in r):
+        if rows and n_cols and min(map(min, rows)) < 0:
             raise ValueError("entries must be nonnegative")
         self.n_rows = n_rows
         self.n_cols = n_cols
@@ -314,10 +315,10 @@ class Word:
     __slots__ = ("letters", "m")
 
     def __init__(self, letters: Iterable[int], m: int):
-        letters = tuple(int(v) for v in letters)
+        letters = tuple(map(int, letters))
         if m < 0:
             raise ValueError("alphabet size must be nonnegative")
-        if any(not 1 <= v <= m for v in letters):
+        if letters and not 1 <= min(letters) <= max(letters) <= m:
             raise ValueError("letter out of alphabet range")
         self.letters = letters
         self.m = m

@@ -29,6 +29,7 @@ def row_candidates(bounds, max_sum):
             extend(v, budget - v)
             row.pop()
     extend(bounds[0] if bounds else 0, max_sum)
+    del extend  # the closure refers to itself; free `out` by refcount
     return out
 
 
@@ -102,6 +103,7 @@ def pp_shape(shape, m, strict=False):
         grid[i][j] = 0
 
     fill(0, 0)
+    del fill  # the closure refers to itself; free `results` by refcount
     return results
 
 
@@ -132,32 +134,54 @@ def matrices_weighted(n, m, weights, bound):
         entries[pos] = 0
 
     fill(0, bound)
+    del fill  # the closure refers to itself; free `results` by refcount
     return results
 
 
-def insert_level(rows, level, i):
-    """One insertion step of the inverse map, in place on `rows` (a list
-    of row lists forming a plane partition): fill the leftmost column of
-    length < i with `level` down to row i, opening a new column on the
-    right when every column is at least i long.
+def insert_level(rows, level, i, count=1):
+    """`count` insertion steps of the inverse map at once, in place on
+    `rows` (a list of row lists forming a plane partition): row i grows
+    by `count` cells, and every shorter row above it grows to the same
+    length, the new cells holding `level`.  count >= 1.
 
-    That column is the one at index len(rows[i-1]); the cells it gains
-    are the ends of the rows above row i that have exactly that length,
-    so the step costs the cells it adds.  Raises
-    ValueError("invalid insertion") if the entry just above those cells
-    is below `level`, leaving `rows` as it was.
+    One step fills the leftmost column of length < i with `level` down
+    to row i, opening a new column on the right when every column is at
+    least i long; `count` steps fill the `count` columns from index
+    len(rows[i-1]) on.  The walk visits the rows it lengthens and the
+    row above them, so the call costs the rows it changes.  Raises
+    ValueError("invalid insertion") if a cell just above the new cells
+    of a column is below `level`, leaving `rows` as it was.
     """
     n_rows = len(rows)
-    width = len(rows[i - 1]) if i <= n_rows else 0
-    top = min(i, n_rows)
-    while top > 0 and len(rows[top - 1]) == width:
+    if i <= n_rows:
+        top = i - 1
+        below = len(rows[top])
+    else:
+        top = n_rows
+        below = 0
+    target = below + count
+    # walk up from row i to the first row of length >= target; rows[top:i]
+    # grow to `target`.  Where a row above is longer than the one below
+    # it, the columns below..min(width, target)-1 get their top new cell
+    # under it, and its cell in the last of them is the least
+    while top:
+        above = rows[top - 1]
+        width = len(above)
+        if width > below:
+            if above[(width if width < target else target) - 1] < level:
+                raise ValueError("invalid insertion")
+            if width >= target:
+                break
+            below = width
         top -= 1
-    if top > 0 and rows[top - 1][width] < level:
-        raise ValueError("invalid insertion")
     if i > n_rows:
         rows.extend([] for _ in range(i - n_rows))
-    for row in rows[top:i]:
-        row.append(level)
+    if count == 1:  # the word map's step: one cell per row, no list
+        for row in rows[top:i]:
+            row.append(level)
+    else:
+        for row in rows[top:i]:
+            row += [level] * (target - len(row))
 
 
 def phi_inverse_rows(entries, n, m):
@@ -165,14 +189,15 @@ def phi_inverse_rows(entries, n, m):
     partition (row tuples) with at most n rows and entries <= m whose
     count matrix is `entries`.
 
-    Scan order: value column l = m..1, row index i = n..1, one single
-    insertion (insert_level) per unit of d[i][l].
+    Scan order: value column l = m..1, row index i = n..1, one batched
+    insertion (insert_level) per nonzero d[i][l].
     """
     rows = []
     for l in range(m, 0, -1):
         for i in range(n, 0, -1):
-            for _ in range(entries[i - 1][l - 1]):
-                insert_level(rows, l, i)
+            d = entries[i - 1][l - 1]
+            if d:
+                insert_level(rows, l, i, d)
     return tuple(map(tuple, rows))
 
 
@@ -187,18 +212,37 @@ def word_tableau_rows(letters):
     return tuple(map(tuple, rows))
 
 
-def lis_tail(letters, m, i):
-    """Length of the longest weakly increasing subsequence of the word
-    using only the top i letters {m-i+1, ..., m}.
+def _lis_pass(letters, lo, m):
+    """One right-to-left pass over the word's letters in lo..m.
+
+    Let start[a] be the length of the longest weakly increasing
+    subsequence of the letters read so far (a suffix of the word) that
+    starts with letter a; a letter a read next starts one of length
+    1 + max(start[b] for b >= a).  The pass keeps the suffix maxima
+    best[a - lo] = max(start[b] for b >= a), raising the entries at and
+    left of a that fall below the new value, and returns them.
     """
-    lo = m - i + 1
-    best = [0] * (m + 1)
-    for a in letters:
-        if a >= lo:
-            prev = 0
-            for c in range(lo, a + 1):
-                if best[c] > prev:
-                    prev = best[c]
-            if prev + 1 > best[a]:
-                best[a] = prev + 1
-    return max(best)
+    best = [0] * (m - lo + 1)
+    for a in reversed(letters):
+        k = a - lo
+        if k >= 0:
+            v = best[k] + 1
+            while k >= 0 and best[k] < v:
+                best[k] = v
+                k -= 1
+    return best
+
+
+def lis_tails(letters, m):
+    """(L_1, ..., L_m): L_i is the length of the longest weakly
+    increasing subsequence of the word using only the top i letters
+    {m-i+1, ..., m}.  Such a subsequence starts at a letter
+    a >= m-i+1, so L_i is the suffix maximum at m-i+1 of one pass.
+    """
+    return tuple(reversed(_lis_pass(letters, 1, m)))
+
+
+def lis_tail(letters, m, i):
+    """L_i alone: the pass of lis_tails over the top i letters only."""
+    best = _lis_pass(letters, m - i + 1, m)
+    return best[0] if best else 0

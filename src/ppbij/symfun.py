@@ -33,23 +33,34 @@ def q_powers(table: VarTable, lo: int, hi: int) -> list[MultiPoly]:
     return [MultiPoly.var(table, "q", 1, power=a) for a in range(lo, hi + 1)]
 
 
-def _weight(table: VarTable, vals: Sequence[MultiPoly],
-            exponents: Sequence[int]) -> MultiPoly:
-    w = MultiPoly.one(table)
-    for v, e in zip(vals, exponents):
+def _weight(nvars: int, monomials: Sequence[tuple[tuple[int, ...], int]],
+            content: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """prod vals^content as one (exponent, coefficient): the exponent is
+    sum content * exp and the coefficient prod coef^content.
+    """
+    exp = [0] * nvars
+    coef = 1
+    for (v_exp, v_coef), e in zip(monomials, content):
         if e:
-            w = w * v ** e
-    return w
+            exp = [a + e * b for a, b in zip(exp, v_exp)]
+            coef *= v_coef ** e
+    return tuple(exp), coef
 
 
 def _content_sum(table: VarTable, vals: Sequence[MultiPoly],
                  contents: Counter[tuple[int, ...]]) -> MultiPoly:
     """Sum of count * prod vals^content over a tally of content vectors,
-    one weight per distinct content.
+    one weight per distinct content.  Every value must be a monomial.
     """
+    monomials = []
+    for v in vals:
+        if len(v.terms) != 1:
+            raise ValueError("values must be monomials")
+        monomials.extend(v.terms.items())
     terms: Counter[tuple[int, ...]] = Counter()
     for content, count in contents.items():
-        terms.update((_weight(table, vals, content) * count).terms)
+        exp, coef = _weight(table.nvars, monomials, content)
+        terms[exp] += count * coef
     return MultiPoly(table, terms)
 
 

@@ -184,6 +184,15 @@ class TestGreene:
             for i in range(1, 4):
                 assert lis_tail(w, i) == brute_lis_tail(w, i)
 
+    def test_tails_against_brute_force(self):
+        # every word of length <= 6 over at most 4 letters
+        for m in range(1, 5):
+            for n in range(7):
+                for w in gen_words(n, m):
+                    tails = kernels.lis_tails(w.letters, m)
+                    assert tails == tuple(brute_lis_tail(w, i)
+                                          for i in range(1, m + 1)), w
+
     def test_lis_tail_window_validation(self):
         with pytest.raises(ValueError):
             lis_tail(Word([1], 2), 3)

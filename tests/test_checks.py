@@ -315,10 +315,11 @@ class TestMutationSensitivity:
     def test_high_tail_subsequence_fails_greene(self, monkeypatch):
         # every longest-subsequence length one too high on a nonempty
         # word: the Greene shape no longer matches the tableau shape
-        lis_tail = kernels.lis_tail
+        lis_tails = kernels.lis_tails
         monkeypatch.setattr(
-            kernels, "lis_tail",
-            lambda letters, m, i: lis_tail(letters, m, i) + bool(letters))
+            kernels, "lis_tails",
+            lambda letters, m: tuple(t + bool(letters)
+                                     for t in lis_tails(letters, m)))
         r = check_greene(3, 3)
         assert r.passed is False
         assert r.first_diff[0] == "mismatches"
@@ -356,8 +357,9 @@ class TestMutationSensitivity:
         # counts do not read the row index, so corner_volume and dalpha
         # cannot see this fault
         insert_level = _pure.insert_level
-        monkeypatch.setattr(_pure, "insert_level", lambda rows, level, i:
-                            insert_level(rows, level, max(i - 1, 1)))
+        monkeypatch.setattr(
+            _pure, "insert_level", lambda rows, level, i, count=1:
+            insert_level(rows, level, max(i - 1, 1), count))
         r = check(*args)
         assert r.passed is False
         assert r.first_diff is not None
@@ -369,8 +371,9 @@ class TestMutationSensitivity:
         # the inverse map inserts level-1 in place of level (the zeros
         # it makes at level 1 are trimmed)
         insert_level = _pure.insert_level
-        monkeypatch.setattr(_pure, "insert_level", lambda rows, level, i:
-                            insert_level(rows, level - 1, i))
+        monkeypatch.setattr(
+            _pure, "insert_level", lambda rows, level, i, count=1:
+            insert_level(rows, level - 1, i, count))
         r = check(*args)
         assert r.passed is False
         assert r.first_diff is not None

@@ -146,6 +146,10 @@ class TestEnumerate:
         ["verify", "cauchy_type", "--n", "5", "--m", "5", "--N", "10"],
         # the fillings of a shape lie in its bounding box
         ["enumerate", "shape", "--shape", "5,5,5,5,5", "--m", "5"],
+        # 2,000,000 insertions at row 1 would build a 2,000,000-cell row
+        ["map", "inv", "--matrix", "[[2000000]]"],
+        # 600,000 insertions at row 2 add up to 1,200,000 cells
+        ["map", "inv", "--matrix", "[[0], [600000]]"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -245,6 +245,66 @@ class TestBoxPredicates:
         assert not PlanePartition().exact_base(1, 1, 3)
 
 
+def nmatrix_reference(entries, n_rows=None, n_cols=None):
+    """The element-wise validation NMatrix.__init__ replaced, kept as a
+    reference: the stored entries, or the same exception.
+    """
+    rows = tuple(tuple(int(v) for v in row) for row in entries)
+    if n_rows is None:
+        n_rows = len(rows)
+    if n_cols is None:
+        n_cols = len(rows[0]) if rows else 0
+    if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
+        raise ValueError("ragged or mis-sized matrix")
+    if any(v < 0 for r in rows for v in r):
+        raise ValueError("entries must be nonnegative")
+    return rows
+
+
+def word_reference(letters, m):
+    """The element-wise validation Word.__init__ replaced, kept as a
+    reference: the stored letters, or the same exception.
+    """
+    letters = tuple(int(v) for v in letters)
+    if m < 0:
+        raise ValueError("alphabet size must be nonnegative")
+    if any(not 1 <= v <= m for v in letters):
+        raise ValueError("letter out of alphabet range")
+    return letters
+
+
+def raised_or_value(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConstructorsMatchReferences:
+    @pytest.mark.parametrize("args", [
+        ([[1, 2], [3]],), ([[1], [2, 3]],), ([[1, 2]], 2),
+        ([[1, 2]], 1, 3), ([[]],), ([[], []], 2, 0), ([], 0, 4),
+        ([[-1]],), ([[0, 2], [1, -3]],), ([[1, 2], [3]], None, 3),
+        ([["x"]],), ([[None]],), ([[1.5, "2"]],), ([[1, 2], [3, 4]], 2, 2),
+        ([[-1, "x"]],), ([[-1], [2, 3]],), ([],), ([[0]], 1, 1),
+    ])
+    def test_nmatrix(self, args):
+        expected = raised_or_value(nmatrix_reference, *args)
+        got = raised_or_value(lambda *a: NMatrix(*a).entries, *args)
+        assert got == expected
+
+    @pytest.mark.parametrize("letters, m", [
+        ([1, 5], 4), ([0], 2), ([1], 0), ([], 0), ([], -1), ([3], -1),
+        (["x"], 3), ([None], 3), ([2.0, "3"], 3), ([3, 1, 2], 3),
+        ([-1, 2], 3), ([1, 2, 4, 3], 3),
+    ])
+    def test_word(self, letters, m):
+        expected = raised_or_value(word_reference, letters, m)
+        got = raised_or_value(lambda *a: Word(*a).letters, letters, m)
+        assert got == expected
+
+
 class TestNMatrix:
     def test_dims_and_sums(self):
         D = NMatrix([[0, 1, 0], [2, 0, 1]])

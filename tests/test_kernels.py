@@ -2,6 +2,7 @@
 the kernel loads the benchmark times.
 """
 
+import gc
 import importlib.util
 import inspect
 from itertools import product
@@ -41,6 +42,42 @@ def pp_box_reference(k, n, m, max_volume=None):
 
     recurse(max_volume)
     return results
+
+
+def insert_level_unit_reference(rows, level, i):
+    """The one-step insertion the batched step replaced, kept as a
+    reference: fill the leftmost column of length < i with `level` down
+    to row i, walking up the rows that have exactly that column's length.
+    """
+    n_rows = len(rows)
+    width = len(rows[i - 1]) if i <= n_rows else 0
+    top = min(i, n_rows)
+    while top > 0 and len(rows[top - 1]) == width:
+        top -= 1
+    if top > 0 and rows[top - 1][width] < level:
+        raise ValueError("invalid insertion")
+    if i > n_rows:
+        rows.extend([] for _ in range(i - n_rows))
+    for row in rows[top:i]:
+        row.append(level)
+
+
+def lis_tail_reference(letters, m, i):
+    """The left-to-right subsequence DP the one-pass tails replaced, kept
+    as a reference: best[c] is the longest weakly increasing subsequence
+    of the top i letters seen so far that ends with letter c.
+    """
+    lo = m - i + 1
+    best = [0] * (m + 1)
+    for a in letters:
+        if a >= lo:
+            prev = 0
+            for c in range(lo, a + 1):
+                if best[c] > prev:
+                    prev = best[c]
+            if prev + 1 > best[a]:
+                best[a] = prev + 1
+    return max(best)
 
 
 def insert_column_reference(cols, level, i):
@@ -106,8 +143,23 @@ class TestSelection:
         assert kernels.BACKEND == "pure"
         for name in ("row_candidates", "pp_box", "pp_shape",
                      "matrices_weighted", "phi_inverse_rows",
-                     "word_tableau_rows", "insert_level", "lis_tail"):
+                     "word_tableau_rows", "insert_level", "lis_tail",
+                     "lis_tails"):
             assert hasattr(kernels, name)
+
+
+def test_list_kernels_leave_no_reference_cycles():
+    # a recursive closure refers to itself, so unless the kernel drops it
+    # the list it fills lives on until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        kernels.row_candidates((3, 2), 4)
+        kernels.pp_shape((2, 1), 3)
+        kernels.matrices_weighted(2, 2, ((1, 1), (1, 2)), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestBoxKernel:
@@ -179,6 +231,63 @@ class TestInsertion:
             return
         kernels.insert_level(rows, level, i)
         assert columns_of(rows) == cols
+
+    def test_batched_insertion(self):
+        # three 1s at row 2 of [[3, 2], [2]]: row 2 grows by three and
+        # row 1 grows to the same length
+        rows = [[3, 2], [2]]
+        kernels.insert_level(rows, 1, 2, 3)
+        assert rows == [[3, 2, 1, 1], [2, 1, 1, 1]]
+        # a 3 in the second column would sit under the 2
+        rows = [[3, 2], [2]]
+        with pytest.raises(ValueError, match="invalid insertion"):
+            kernels.insert_level(rows, 3, 2, 2)
+        assert rows == [[3, 2], [2]]
+
+    @given(count_matrices(max_dim=5), st.integers(1, 4), st.integers(1, 7),
+           st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_unit_steps(self, matrix, level, i, count):
+        # any plane partition with entries <= 3, any level, row and
+        # count: one batched call adds the cells of `count` unit steps,
+        # or raises, leaving the rows unchanged, where a unit step raises
+        n, m, entries = matrix
+        rows = [list(r) for r in kernels.phi_inverse_rows(entries, n, m)]
+        before = [list(r) for r in rows]
+        steps = [list(r) for r in rows]
+        try:
+            for _ in range(count):
+                insert_level_unit_reference(steps, level, i)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                kernels.insert_level(rows, level, i, count)
+            assert rows == before
+            return
+        kernels.insert_level(rows, level, i, count)
+        assert rows == steps
+
+
+words_by_alphabet = st.integers(1, 9).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(1, m), min_size=60, max_size=120)))
+
+
+class TestGreeneTails:
+    """kernels.lis_tails and kernels.lis_tail against the per-tail DP."""
+
+    @given(words_by_alphabet)
+    @settings(max_examples=150, deadline=None)
+    def test_tails_match_reference(self, word):
+        m, letters = word
+        expected = tuple(lis_tail_reference(letters, m, i)
+                         for i in range(1, m + 1))
+        assert kernels.lis_tails(letters, m) == expected
+        assert tuple(kernels.lis_tail(letters, m, i)
+                     for i in range(1, m + 1)) == expected
+
+    def test_empty_word_and_alphabet(self):
+        assert kernels.lis_tails((), 3) == (0, 0, 0)
+        assert kernels.lis_tails((), 0) == ()
+        assert kernels.lis_tail((), 3, 2) == 0
 
 
 class TestInverseMap:

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from ppbij.core import Partition
 from ppbij.enumeration import gen_partitions_in_box
 from ppbij.poly import MultiPoly, VarTable
@@ -49,6 +51,23 @@ class TestSchur:
         zt1 = VarTable([("z", 1)])
         assert schur_combinatorial(zt1, Partition([1, 1]),
                                    zvars(1, zt1)).is_zero()
+
+    def test_monomials_with_coefficients(self):
+        # values 2*z1*z2, -z3^2 and the constant 3: each content's weight
+        # is one monomial with the product of the coefficients' powers,
+        # and the determinant side multiplies the values as polynomials
+        z1, z2, z3 = zvars()
+        vals = [z1 * z2 * 2, -(z3 ** 2), MultiPoly.one(ZT3) * 3]
+        for lam in shapes_in_cube():
+            assert schur_combinatorial(ZT3, lam, vals) == \
+                schur_specialized(ZT3, lam, vals)
+
+    def test_non_monomial_value_rejected(self):
+        z1, z2, _ = zvars()
+        with pytest.raises(ValueError, match="monomials"):
+            schur_combinatorial(ZT3, Partition([1]), [z1 + z2])
+        with pytest.raises(ValueError, match="monomials"):
+            schur_combinatorial(ZT3, Partition([1]), [MultiPoly.zero(ZT3)])
 
     def test_principal_specialization(self):
         # s_(1,1)(q, q^2, q^3) = e_2 at those powers
