@@ -154,12 +154,8 @@ def _window_pair(table: VarTable, trunc: Truncation, window: int,
         enlarged[exp] += coef
         if weight <= window:
             base[exp] += coef
-
-    def truncated(side: Counter[tuple[int, ...]]) -> MultiPoly:
-        return MultiPoly(table, {exp: coef for exp, coef in side.items()
-                                 if trunc.keeps(table, exp)})
-
-    return truncated(base), truncated(enlarged)
+    return (MultiPoly(table, trunc.kept_terms(table, base)),
+            MultiPoly(table, trunc.kept_terms(table, enlarged)))
 
 
 # -- individual checks -------------------------------------------------

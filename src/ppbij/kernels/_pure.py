@@ -176,12 +176,8 @@ def insert_level(rows, level, i, count=1):
         top -= 1
     if i > n_rows:
         rows.extend([] for _ in range(i - n_rows))
-    if count == 1:  # the word map's step: one cell per row, no list
-        for row in rows[top:i]:
-            row.append(level)
-    else:
-        for row in rows[top:i]:
-            row += [level] * (target - len(row))
+    for row in rows[top:i]:
+        row += [level] * (target - len(row))
 
 
 def phi_inverse_rows(entries, n, m):

@@ -98,6 +98,12 @@ class Truncation:
                 return False
         return True
 
+    def kept_terms(self, table: VarTable, terms: Mapping[tuple[int, ...], int]
+                   ) -> dict[tuple[int, ...], int]:
+        """The terms whose exponent the window keeps."""
+        return {exp: coef for exp, coef in terms.items()
+                if self.keeps(table, exp)}
+
     def _caps(self, table: VarTable) -> list[tuple[slice, int]]:
         """(variables, cap) for each cap: the total cap over every
         variable first, then each family cap over its family.
@@ -279,8 +285,7 @@ class MultiPoly:
         return result
 
     def truncate(self, trunc: Truncation) -> "MultiPoly":
-        return MultiPoly(self.table, {e: c for e, c in self.terms.items()
-                                      if trunc.keeps(self.table, e)})
+        return MultiPoly(self.table, trunc.kept_terms(self.table, self.terms))
 
     # -- rendering -----------------------------------------------------
 

@@ -52,11 +52,7 @@ def _content_sum(table: VarTable, vals: Sequence[MultiPoly],
     """Sum of count * prod vals^content over a tally of content vectors,
     one weight per distinct content.  Every value must be a monomial.
     """
-    monomials = []
-    for v in vals:
-        if len(v.terms) != 1:
-            raise ValueError("values must be monomials")
-        monomials.extend(v.terms.items())
+    monomials = [v.single_term() for v in vals]
     terms: Counter[tuple[int, ...]] = Counter()
     for content, count in contents.items():
         exp, coef = _weight(table.nvars, monomials, content)
