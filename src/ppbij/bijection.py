@@ -16,8 +16,9 @@ def phi(pp: PlanePartition, n: int, m: int) -> NMatrix:
     if pp.n_rows() > n or pp.max_entry() > m:
         raise ValueError("out of domain PP(inf,n,m)")
     counts = [[0] * m for _ in range(n)]
-    for i, _, v in pp._descents():
-        counts[i - 1][v - 1] += 1
+    for row, values in zip(counts, pp._descent_rows()):
+        for v in values:
+            row[v - 1] += 1
     return NMatrix(counts, n, m)
 
 

@@ -8,8 +8,8 @@ elements and dictionary keys during exhaustive enumeration.
 
 from __future__ import annotations
 
-from itertools import count, zip_longest
-from operator import lt
+from itertools import compress, count, zip_longest
+from operator import gt, lt, mul
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -160,31 +160,41 @@ class PlanePartition:
         return Partition(len(r) for r in self.rows)
 
     def volume(self) -> int:
-        return sum(sum(r) for r in self.rows)
+        return sum(map(sum, self.rows))
 
     def trace(self) -> int:
         return sum(
             row[i] for i, row in enumerate(self.rows) if i < len(row)
         )
 
-    def _descents(self) -> Iterator[tuple[int, int, int]]:
-        """The descent walk: (i, j, value) for each cell whose value
-        strictly exceeds the value directly below (absent cells read 0),
-        row by row.  Every descent statistic reads this walk.
+    def _descent_rows(self, labels=None) -> list[list]:
+        """The descent walk: for each row i, the entries of its descent
+        cells, left to right.  A descent cell's entry strictly exceeds
+        the entry directly below it (absent cells read 0), so the cells
+        past the end of the row below are all descents.  Given `labels`,
+        one sequence per row parallel to it, the walk picks the labels of
+        the descent cells instead of their entries.  Every descent
+        statistic reduces this walk.
         """
         rows = self.rows
-        for i, (row, below) in enumerate(zip(rows, rows[1:] + ((),)), 1):
-            below += (0,) * (len(row) - len(below))
-            for j, v, u in zip(count(1), row, below):
-                if v > u:
-                    yield i, j, v
+        if labels is None:
+            labels = rows
+        return [[*compress(label, map(gt, row, below)), *label[len(below):]]
+                for row, below, label in zip(rows, rows[1:] + ((),), labels)]
+
+    def _descent_columns(self) -> list[list[int]]:
+        """For each row, the columns j of its descent cells."""
+        return self._descent_rows(
+            [range(1, len(row) + 1) for row in self.rows])
 
     def descent_set(self) -> frozenset[Cell]:
         """Cells whose entry strictly exceeds the entry directly below."""
-        return frozenset(Cell(i, j) for i, j, _ in self._descents())
+        return frozenset(Cell(i, j)
+                         for i, js in enumerate(self._descent_columns(), 1)
+                         for j in js)
 
     def descent_count(self) -> int:
-        return sum(1 for _ in self._descents())
+        return sum(map(len, self._descent_rows()))
 
     def descent_level_sets(self) -> dict[tuple[int, int], frozenset[int]]:
         """D_{i,l}: the columns j where row i has value l and a descent.
@@ -192,17 +202,22 @@ class PlanePartition:
         Only nonempty sets appear in the returned map.
         """
         out: dict[tuple[int, int], set[int]] = {}
-        for i, j, v in self._descents():
-            out.setdefault((i, v), set()).add(j)
+        walk = self._descent_columns()
+        for i, (row, js) in enumerate(zip(self.rows, walk), 1):
+            for j in js:
+                out.setdefault((i, row[j - 1]), set()).add(j)
         return {key: frozenset(js) for key, js in out.items()}
 
     def up_hook_volume(self) -> int:
-        """Sum of (entry + row - 1) over descent cells."""
-        return sum(v + i - 1 for i, _, v in self._descents())
+        """Sum of (entry + row - 1) over descent cells: the corner volume
+        plus (i - 1) d_i summed over the rows.
+        """
+        walk = self._descent_rows()
+        return sum(map(sum, walk)) + sum(map(mul, count(), map(len, walk)))
 
     def corner_volume(self) -> int:
         """Sum of entries over descent cells."""
-        return sum(v for _, _, v in self._descents())
+        return sum(map(sum, self._descent_rows()))
 
     def column_counts(self, m: int) -> tuple[int, ...]:
         """c_i for i = 1..m: the number of columns containing value i."""
@@ -216,10 +231,7 @@ class PlanePartition:
 
     def row_descent_counts(self) -> tuple[int, ...]:
         """d_i: the number of descent cells in row i."""
-        counts = [0] * len(self.rows)
-        for i, _, _ in self._descents():
-            counts[i - 1] += 1
-        return tuple(counts)
+        return tuple(map(len, self._descent_rows()))
 
     def add(self, other: "PlanePartition") -> "PlanePartition":
         """Entrywise sum; absent cells read 0."""

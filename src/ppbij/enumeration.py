@@ -44,7 +44,10 @@ def gen_partitions_in_box(k: int, n: int) -> Iterator[Partition]:
                 yield from recurse(v)
                 parts.pop()
 
-    yield from recurse(k)
+    try:
+        yield from recurse(k)
+    finally:
+        del recurse  # the closure refers to itself; free it by refcount
 
 
 def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
@@ -152,7 +155,10 @@ def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
                 for v, _ in placed:
                     column[v] = 0
 
-    yield from fill(0, lam.size(), n)
+    try:
+        yield from fill(0, lam.size(), n)
+    finally:
+        del fill  # the closure refers to itself; free it by refcount
 
 
 def f_lambda(lam: Partition, n: int) -> int:
@@ -203,6 +209,7 @@ def skew_schur_ones(outer: Partition, inner: Partition, n: int) -> int:
         grid.pop((i, j), None)
 
     fill(0)
+    del fill  # the closure refers to itself; free `grid` by refcount
     return count
 
 

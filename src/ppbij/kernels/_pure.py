@@ -41,12 +41,14 @@ def pp_box(k, n, m, max_volume=None):
 
     The rows that fit under a bounding row are listed once per call,
     with their sums, up to min(sum(bounds), max_volume), and filtered
-    by the volume left at each use.
+    by the volume left at each use.  The depth-first walk keeps an
+    explicit stack, one (candidate iterator, volume left) frame per
+    row below the current rows, so a member is yielded from this frame
+    alone.
     """
     if max_volume is None:
         max_volume = k * n * m
     under = {}  # bounding row -> [(row, sum(row))] of the rows below it
-    rows = []
 
     def candidates(bounds):
         cands = under.get(bounds)
@@ -54,19 +56,27 @@ def pp_box(k, n, m, max_volume=None):
             cap = min(sum(bounds), max_volume)
             cands = under[bounds] = [
                 (row, sum(row)) for row in row_candidates(bounds, cap)]
-        return cands
+        return iter(cands)
 
-    def recurse(budget):
-        yield tuple(rows)
-        if len(rows) >= n:
-            return
-        for cand, size in candidates(rows[-1] if rows else (m,) * k):
+    rows = []
+    yield ()
+    if n < 1:
+        return
+    stack = [(candidates((m,) * k), max_volume)]
+    while stack:
+        cands, budget = stack[-1]
+        for cand, size in cands:
             if size <= budget:
                 rows.append(cand)
-                yield from recurse(budget - size)
+                yield tuple(rows)
+                if len(rows) < n:
+                    stack.append((candidates(cand), budget - size))
+                    break
                 rows.pop()
-
-    yield from recurse(max_volume)
+        else:
+            stack.pop()
+            if rows:
+                rows.pop()
 
 
 def pp_shape(shape, m, strict=False):

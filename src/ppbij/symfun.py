@@ -11,6 +11,7 @@ VarTable is always passed first, so empty value lists need no special case.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Callable, Sequence
 
 from .core import Partition, PlanePartition
@@ -63,9 +64,11 @@ def _content_sum(table: VarTable, vals: Sequence[MultiPoly],
 def descent_monomial(table: VarTable, pp: PlanePartition) -> tuple[int, ...]:
     """Exponent of prod x_i z_value over the descent cells (i, j) of pp."""
     exp = [0] * table.nvars
-    for i, _, v in pp._descents():
-        exp[table.index("x", i)] += 1
-        exp[table.index("z", v)] += 1
+    walk = pp._descent_rows()
+    for i, values in enumerate(walk, 1):
+        exp[table.index("x", i)] += len(values)
+    for v, c in Counter(chain.from_iterable(walk)).items():
+        exp[table.index("z", v)] += c
     return tuple(exp)
 
 

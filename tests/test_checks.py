@@ -2,12 +2,13 @@
 
 import hashlib
 from collections import Counter
-from itertools import zip_longest
+from itertools import compress, zip_longest
+from operator import ge
 
 import pytest
 
 from ppbij import checks, kernels
-from ppbij.bijection import phi_inverse, strict_tableau_to_word
+from ppbij.bijection import phi, phi_inverse, strict_tableau_to_word
 from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     check_cauchy_type, check_corner_volume, check_dalpha, \
     check_equidistribution, check_frobenius, check_gexp, check_gl, \
@@ -141,16 +142,15 @@ class TestIndividualChecks:
         assert r.notes[0] == "ValueError: box m=-1 is negative"
 
 
-def weak_descents(self):
-    """PlanePartition._descents with >= in place of >: every cell whose
-    value is at least the value below counts as a descent.
+def weak_descents(self, labels=None):
+    """PlanePartition._descent_rows with >= in place of >: every cell
+    whose value is at least the value below counts as a descent.
     """
     rows = self.rows
-    for i, (row, below) in enumerate(zip(rows, rows[1:] + ((),)), 1):
-        below += (0,) * (len(row) - len(below))
-        for j, (v, u) in enumerate(zip(row, below), 1):
-            if v >= u:
-                yield i, j, v
+    if labels is None:
+        labels = rows
+    return [[*compress(label, map(ge, row, below)), *label[len(below):]]
+            for row, below, label in zip(rows, rows[1:] + ((),), labels)]
 
 
 # check name -> the mutation tests that inject a fault it must catch
@@ -216,9 +216,30 @@ class TestMutationSensitivity:
     def test_descent_mutation_is_caught(self, monkeypatch):
         # a weak inequality in the descent walk breaks the volume
         # product identity
-        monkeypatch.setattr(PlanePartition, "_descents", weak_descents)
+        monkeypatch.setattr(PlanePartition, "_descent_rows", weak_descents)
         r = check_uh_des(2, 2, 4)
         assert not r.passed
+
+    def test_every_descent_statistic_reads_the_walk(self, monkeypatch):
+        # the weak walk must move every descent statistic on one plane
+        # partition with equal entries stacked in a column, so none of
+        # them can bypass the walk the mutants above patch
+        pp = PlanePartition([[4, 4, 2], [4, 2, 1], [2, 2]])
+        xz = VarTable([("x", 3), ("z", 4)])
+        stats = {
+            "descent_count": PlanePartition.descent_count,
+            "corner_volume": PlanePartition.corner_volume,
+            "up_hook_volume": PlanePartition.up_hook_volume,
+            "row_descent_counts": PlanePartition.row_descent_counts,
+            "descent_set": PlanePartition.descent_set,
+            "descent_level_sets": PlanePartition.descent_level_sets,
+            "phi": lambda pp: phi(pp, 3, 4),
+            "descent_monomial": lambda pp: descent_monomial(xz, pp),
+        }
+        strict = {name: stat(pp) for name, stat in stats.items()}
+        monkeypatch.setattr(PlanePartition, "_descent_rows", weak_descents)
+        for name, stat in stats.items():
+            assert stat(pp) != strict[name], name
 
     @catches(*(check_name(check) for _, check, _ in TALLIED_MUTANTS))
     @pytest.mark.parametrize("stat, check, args", TALLIED_MUTANTS)
@@ -233,7 +254,7 @@ class TestMutationSensitivity:
             "volume": ("volume",
                        lambda self: volume(self) + (1 if self else 0)),
             # every descent statistic reads the one descent walk
-            "descent_set": ("_descents", weak_descents),
+            "descent_set": ("_descent_rows", weak_descents),
             "column_counts": ("column_counts", lambda self, m: tuple(
                 sum(row.count(v) for row in self.rows)
                 for v in range(1, m + 1))),

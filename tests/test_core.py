@@ -1,10 +1,15 @@
 """Value types and the statistics defined on them."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from itertools import count
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ppbij.bijection import phi
 from ppbij.core import Cell, NMatrix, Partition, PlanePartition, Word
 from ppbij.enumeration import gen_pp_box
+from ppbij.poly import VarTable
+from ppbij.symfun import descent_monomial
 
 # the two worked examples used throughout
 EX_A = PlanePartition([[4, 4, 2], [4, 2, 1], [2, 2]])
@@ -139,6 +144,75 @@ class TestPlanePartitionValidation:
 
     def test_json_roundtrip(self):
         assert PlanePartition.from_json(EX_A.to_json()) == EX_A
+
+
+def descents_reference(pp):
+    """The generator descent walk the per-row walk replaced, kept as a
+    reference: (i, j, value) for each cell whose value strictly exceeds
+    the value directly below (absent cells read 0), row by row.
+    """
+    rows = pp.rows
+    for i, (row, below) in enumerate(zip(rows, rows[1:] + ((),)), 1):
+        below += (0,) * (len(row) - len(below))
+        for j, v, u in zip(count(1), row, below):
+            if v > u:
+                yield i, j, v
+
+
+@st.composite
+def plane_partitions(draw):
+    """Suffix sums of a small 0..2 array: a plane partition of at most
+    4 rows and entries <= 4, whose zero tail makes rows of unequal length
+    and whose zero cells repeat the entry below them in a column.
+    """
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.integers(0, 2), min_size=n * k, max_size=n * k))
+    grid = [cells[i * k:(i + 1) * k] for i in range(n)]
+    rows = [[0] * k for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in reversed(range(k)):
+            rows[i][j] = min(4, grid[i][j]
+                             + max(rows[i + 1][j] if i + 1 < n else 0,
+                                   rows[i][j + 1] if j + 1 < k else 0))
+    return PlanePartition(rows)
+
+
+class TestDescentWalk:
+    """Every descent reader against sums over descents_reference."""
+
+    @given(plane_partitions())
+    @example(PlanePartition())
+    @example(PlanePartition([[3, 1, 1]]))
+    @example(PlanePartition([[3, 2, 2, 1], [2, 1], [1]]))
+    @example(PlanePartition([[2, 2], [2, 2], [2]]))
+    @settings(max_examples=300, deadline=None)
+    def test_readers_match_reference(self, pp):
+        cells = list(descents_reference(pp))
+        n_rows = pp.n_rows()
+        assert pp.descent_count() == len(cells)
+        assert pp.corner_volume() == sum(v for _, _, v in cells)
+        assert pp.up_hook_volume() == sum(v + i - 1 for i, _, v in cells)
+        assert pp.row_descent_counts() == tuple(
+            sum(1 for i, _, _ in cells if i == row)
+            for row in range(1, n_rows + 1))
+        assert pp.descent_set() == frozenset(Cell(i, j) for i, j, _ in cells)
+        levels = {}
+        for i, j, v in cells:
+            levels.setdefault((i, v), set()).add(j)
+        assert pp.descent_level_sets() == {
+            key: frozenset(js) for key, js in levels.items()}
+        n, m = max(n_rows, 1), max(pp.max_entry(), 1)
+        counts = [[0] * m for _ in range(n)]
+        for i, _, v in cells:
+            counts[i - 1][v - 1] += 1
+        assert phi(pp, n, m).entries == tuple(map(tuple, counts))
+        table = VarTable([("x", n), ("z", m)])
+        exp = [0] * (n + m)
+        for i, _, v in cells:
+            exp[i - 1] += 1
+            exp[n + v - 1] += 1
+        assert descent_monomial(table, pp) == tuple(exp)
 
 
 class TestStatistics:

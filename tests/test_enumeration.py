@@ -1,5 +1,6 @@
 """Exhaustive generators and the exact counters built on them."""
 
+import gc
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -25,6 +26,44 @@ def box_product(k, n, m) -> int:
                 prod *= Fraction(i + j + l - 1, i + j + l - 2)
     assert prod.denominator == 1
     return int(prod)
+
+
+GENERATORS = [
+    ("partitions_in_box", lambda: gen_partitions_in_box(3, 3)),
+    ("strict_tableaux", lambda: gen_strict_tableaux(Partition([2, 1]), 3)),
+    ("pp_box", lambda: gen_pp_box(2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("name, make", GENERATORS)
+@pytest.mark.parametrize("early", [False, True])
+def test_generators_leave_no_reference_cycles(name, make, early):
+    # a recursive closure refers to itself, so unless the generator
+    # drops it, its state lives on until the cyclic collector runs,
+    # whether the generator is exhausted or closed after one member
+    gc.collect()
+    gc.disable()
+    try:
+        gen = make()
+        if early:
+            next(gen)
+            gen.close()
+        else:
+            assert list(gen)
+        del gen
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_skew_schur_ones_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert skew_schur_ones(Partition([2, 1]), Partition([1]), 3) == 9
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPartitionsInBox:
