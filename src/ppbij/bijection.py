@@ -37,15 +37,14 @@ def max_downright_path_weight(D: NMatrix, start: Cell, end: Cell) -> int:
         raise ValueError("empty path set")
     if not (1 <= start.i and 1 <= start.j and end.i <= D.n_rows and end.j <= D.n_cols):
         raise ValueError("path endpoints outside the matrix")
-    best_prev: list[int] = []
-    for i in range(start.i, end.i + 1):
+    best_prev = [0] * (end.j - start.j + 1)
+    for row in D.entries[start.i - 1:end.i]:
+        # entries are nonnegative, so a missing neighbour counts as 0
+        left = 0
         best_row = []
-        for j in range(start.j, end.j + 1):
-            here = D.entry(i, j)
-            up = best_prev[j - start.j] if best_prev else None
-            left = best_row[-1] if best_row else None
-            base = max(v for v in (up, left) if v is not None) if (best_prev or best_row) else 0
-            best_row.append(base + here)
+        for up, here in zip(best_prev, row[start.j - 1:end.j]):
+            left = max(up, left) + here
+            best_row.append(left)
         best_prev = best_row
     return best_prev[-1]
 
@@ -82,15 +81,6 @@ def strict_tableau_to_word(pp: PlanePartition, m: int) -> Word:
         for v in row:
             letters[v - 1] = i  # rows run downwards, so the deepest wins
     return Word(letters, m)
-
-
-def lis_tail(w: Word, i: int) -> int:
-    """L_i(w): length of the longest weakly increasing subsequence of w
-    restricted to the top i letters {m-i+1, ..., m}.
-    """
-    if not 1 <= i <= w.m:
-        raise ValueError("letter window out of range")
-    return kernels.lis_tail(w.letters, w.m, i)
 
 
 def greene_shape(w: Word) -> Partition:

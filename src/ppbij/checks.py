@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .bijection import greene_shape, phi, phi_inverse, \
@@ -193,7 +194,7 @@ def check_macmahon_box(k: int, n: int, m: int) -> CheckResult:
         (pp.volume(),) for pp in gen_pp_box(k, n, m)))
     count_lhs = sum(lhs_poly.terms.values())
 
-    trunc = Truncation(max_total=k * n * m)
+    trunc = Truncation(k * n * m)
     exps = _box_exponents(k, n, m)
     rhs_poly = MultiPoly.one(_QT)
     for a, _ in exps:
@@ -213,7 +214,7 @@ def check_infinite_volume(N: int) -> CheckResult:
     t0 = time.perf_counter()
     lhs = MultiPoly(_QT, Counter(
         (pp.volume(),) for pp in gen_pp_box(N, N, N, max_volume=N)))
-    trunc = Truncation(max_total=N)
+    trunc = Truncation(N)
     rhs = product_series(_QT, [(_q(i), i) for i in range(1, N + 1)], trunc)
     return _build("infinite_volume", {"N": N}, [("series", lhs, rhs)], t0)
 
@@ -240,7 +241,7 @@ def check_multivariate(n: int, m: int, N: int) -> CheckResult:
     """
     t0 = time.perf_counter()
     table = VarTable([("x", n), ("z", m)])
-    trunc = Truncation(max_total=N)
+    trunc = Truncation(N)
     lhs, enlarged = _window_pair(table, trunc, N // 2, (
         (w, descent_monomial(table, pp), 1)
         for w, pp in gen_matrix_images(n, m, N // 2 + 1)))
@@ -263,7 +264,7 @@ def check_cauchy_type(n: int, m: int, N: int) -> CheckResult:
     """
     t0 = time.perf_counter()
     table = VarTable([("x", n), ("z", m)])
-    trunc = Truncation(max_total=N)
+    trunc = Truncation(N)
     lhs, enlarged = _window_pair(table, trunc, N // 2, (
         (lam.part(1), exp, coef)
         for lam in gen_partitions_in_box(N // 2 + 1, n)
@@ -282,7 +283,7 @@ def check_gl(n: int, m: int, N: int) -> CheckResult:
     t0 = time.perf_counter()
     table = VarTable([("z", m)])
     zs = family_vars(table, "z")
-    trunc = Truncation(max_total=N)
+    trunc = Truncation(N)
     lhs, enlarged = _window_pair(table, trunc, N, (
         (lam.part(1), exp, coef)
         for lam in gen_partitions_in_box(N + 1, n)
@@ -299,7 +300,7 @@ def check_uh_des(n: int, m: int, N: int) -> CheckResult:
     over cells; q-degree truncated at N.
     """
     t0 = time.perf_counter()
-    trunc = Truncation(family_caps={"q": N})
+    trunc = Truncation(N, "q")
     lhs, enlarged = _window_pair(_TQT, trunc, N, (
         (w, (pp.descent_count(), pp.up_hook_volume()), 1)
         for w, pp in gen_matrix_images(n, m, N + 1,
@@ -319,7 +320,7 @@ def check_equidistribution(N: int) -> CheckResult:
     q-degree N.
     """
     t0 = time.perf_counter()
-    trunc = Truncation(family_caps={"q": N})
+    trunc = Truncation(N, "q")
     if N == 0:
         one = MultiPoly.one(_TQT)
         return _build("equidistribution", {"N": N}, [("series", one, one)], t0)
@@ -349,7 +350,7 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
     t0 = time.perf_counter()
     if mode not in ("entries", "rows"):
         raise ValueError("mode must be 'entries' or 'rows'")
-    trunc = Truncation(max_total=N)
+    trunc = Truncation(N)
     n_rows = N if mode == "entries" else bound
     n_cols = bound if mode == "entries" else N
 
@@ -383,7 +384,7 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     rhs1 = schur_specialized(_QT, rho, ones(_QT, n) + q_powers(_QT, 1, m))
     rhs2 = schur_specialized(_QT, rho, ones(_QT, n - 1) + q_powers(_QT, 1, m))
 
-    trunc = Truncation(max_total=N)
+    trunc = Truncation(N)
     lhs3, enlarged = _window_pair(_QT, trunc, N, (
         (w, (pp.corner_volume(),), 1)
         for w, pp in gen_matrix_images(n, m, N + 1, weight=lambda i, l: l)))
@@ -559,9 +560,8 @@ def check_superadditivity(k: int, n: int, m: int,
             if s.volume() != p1.volume() + p2.volume():
                 violations += 1
             d1, d2 = mats[p1], mats[p2]
-            merged = NMatrix(
-                [[d1.entry(i, j) + d2.entry(i, j) for j in range(1, m + 1)]
-                 for i in range(1, n + 1)])
+            merged = NMatrix(map(add, r1, r2)
+                             for r1, r2 in zip(d1.entries, d2.entries))
             t = phi_inverse(merged)
             if t.up_hook_volume() < p1.up_hook_volume() + p2.up_hook_volume():
                 violations += 1

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from collections import Counter
 
-from .bijection import greene_shape, lis_tail, phi, phi_inverse, \
+from .bijection import greene_shape, phi, phi_inverse, \
     word_to_strict_tableau
 from .checks import CHECKS, CheckResult, _run_entry, macmahon_count, run_all
 from .core import NMatrix, Partition, PlanePartition, Word
@@ -53,13 +54,15 @@ class DomainError(Exception):
 
 
 def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
-                words=None, box_pairs=False, cells=None):
+                words=None, box_pairs=False, cells=None, matrices=None):
     """Raise UsageError for the first negative parameter, and for the
     first parameter over its cap unless --unsafe-no-caps was given.
     `box` is a (k, n, m) triple whose plane partitions the command
     enumerates, all pairs of them if `box_pairs`; `words` is an (n, m)
     pair whose m^n words it enumerates; `cells` bounds the cells of the
-    one plane partition the command builds.
+    one plane partition the command builds; `matrices` is a (c, w) pair
+    whose C(c + w, w) matrices of c entries summing to at most w it
+    enumerates.
     """
     for what, value in [*dims, ("N", N), ("word length", word_len),
                         ("n_max", n_max)]:
@@ -84,6 +87,10 @@ def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
     if words is not None:
         n, m = words
         cap(f"the word count {m}^{n}", m ** n, CAP_WORD_COUNT)
+    if matrices is not None:
+        c, w = matrices
+        cap(f"the matrix count C({c + w}, {w})", math.comb(c + w, w),
+            CAP_BOX_COUNT)
     if box is not None:
         count = macmahon_count(*box)
         cap("the {}x{}x{} box's plane-partition count {}".format(*box, count),
@@ -316,14 +323,14 @@ def cmd_greene(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad word: {exc}") from None
     _check_caps(args, word_len=len(w))
-    shape = greene_shape(w)
-    ls = {i: lis_tail(w, i) for i in range(1, w.m + 1)}
-    lines = [f"shape {json.dumps(list(shape.parts))}"]
-    lines += [f"L_{i} {ls[i]}" for i in range(w.m, 0, -1)]
+    shape = list(greene_shape(w).parts)
+    # the shape is (L_m, ..., L_1) with its trailing zeros trimmed
+    tails = shape + [0] * (w.m - len(shape))
+    lines = [f"shape {json.dumps(shape)}"]
+    lines += [f"L_{w.m - p} {L}" for p, L in enumerate(tails)]
     _emit(args, lines,
           {"word": "".join(map(str, w.letters)), "m": w.m,
-           "shape": list(shape.parts),
-           "L": [ls[i] for i in range(w.m, 0, -1)]})
+           "shape": shape, "L": tails})
     return 0
 
 
@@ -377,6 +384,10 @@ def cmd_verify(args) -> int:
             N = supplied["N"]
             width = N + 1 if args.name == "gl" else N // 2 + 1
             box = (width, supplied["n"], supplied["m"])
+        # multivariate enumerates the n x m matrices of its enlarged
+        # window, those with entry sum at most N//2 + 1
+        matrices = (supplied["n"] * supplied["m"], supplied["N"] // 2 + 1) \
+            if args.name == "multivariate" else None
         lam = supplied.pop("lam", None)
         if lam is not None:
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
@@ -386,7 +397,8 @@ def cmd_verify(args) -> int:
                     box=None if None in box else box,
                     n_max=None if lam is None
                     else supplied.get("n_max", lam.size()),
-                    box_pairs=args.name == "superadditivity")
+                    box_pairs=args.name == "superadditivity",
+                    matrices=matrices)
         results = [_run_entry({"check": args.name, "params": supplied})]
     passed = total = 0
     for r in results:

@@ -305,10 +305,6 @@ class NMatrix:
     def __repr__(self) -> str:
         return f"NMatrix({[list(r) for r in self.entries]})"
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at (i, j), 1-based."""
-        return self.entries[i - 1][j - 1]
-
     def to_json(self) -> dict:
         return {
             "rows": self.n_rows,

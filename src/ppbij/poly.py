@@ -9,7 +9,7 @@ deterministic.  Nothing here is ever floating point.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -77,43 +77,29 @@ class VarTable:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Degree window for series expansions: an optional total-degree cap
-    and optional per-family total-degree caps (family name -> cap).
+    """Degree window for series expansions: a cap on the degree over one
+    family's variables, or over every variable when `family` is None.
     """
 
-    max_total: int | None = None
-    family_caps: Mapping[str, int] = field(default_factory=dict)
+    cap: int
+    family: str | None = None
 
     def __post_init__(self):
-        if self.max_total is not None and self.max_total < 0:
-            raise ValueError("max_total must be nonnegative")
-        if any(c < 0 for c in self.family_caps.values()):
-            raise ValueError("caps must be nonnegative")
+        if self.cap < 0:
+            raise ValueError("cap must be nonnegative")
 
-    def keeps(self, table: VarTable, exp: tuple[int, ...]) -> bool:
-        if self.max_total is not None and sum(exp) > self.max_total:
-            return False
-        for family, cap in self.family_caps.items():
-            if sum(exp[table.family_slice(family)]) > cap:
-                return False
-        return True
+    def variables(self, table: VarTable) -> slice:
+        """The variables whose degree the cap bounds."""
+        if self.family is None:
+            return slice(0, table.nvars)
+        return table.family_slice(self.family)
 
     def kept_terms(self, table: VarTable, terms: Mapping[tuple[int, ...], int]
                    ) -> dict[tuple[int, ...], int]:
         """The terms whose exponent the window keeps."""
+        variables, cap = self.variables(table), self.cap
         return {exp: coef for exp, coef in terms.items()
-                if self.keeps(table, exp)}
-
-    def _caps(self, table: VarTable) -> list[tuple[slice, int]]:
-        """(variables, cap) for each cap: the total cap over every
-        variable first, then each family cap over its family.
-        """
-        out = []
-        if self.max_total is not None:
-            out.append((slice(0, table.nvars), self.max_total))
-        for family, cap in self.family_caps.items():
-            out.append((table.family_slice(family), cap))
-        return out
+                if sum(exp[variables]) <= cap}
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -242,35 +228,30 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def mul_truncated(self, other: "MultiPoly", trunc: Truncation | None) -> "MultiPoly":
-        """Product, dropping result monomials outside the truncation.
+        """Product, dropping result monomials over the truncation's cap.
 
-        No pair over the first cap is formed: the right factor's terms
-        are sorted once by their degree under that cap, and each left
-        term runs only over the prefix that still fits.  A second cap is
-        tested on each product exponent.
+        No pair over the cap is formed: the right factor's terms are
+        sorted once by their capped degree, and each left term runs only
+        over the prefix that still fits.
         """
         self._check(other)
-        table = self.table
-        caps = trunc._caps(table) if trunc is not None else []
-        several = len(caps) > 1
         right = list(other.terms.items())
-        if caps:
-            variables, cap = caps[0]
+        if trunc is not None:
+            variables = trunc.variables(self.table)
             right.sort(key=lambda term: sum(term[0][variables]))
             degrees = [sum(e[variables]) for e, _ in right]
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for e1, c1 in self.terms.items():
             fits = right
-            if caps:
-                room = cap - sum(e1[variables])
+            if trunc is not None:
+                room = trunc.cap - sum(e1[variables])
                 fits = islice(right, bisect_right(degrees, room))
             for e2, c2 in fits:
                 exp = tuple(map(add, e1, e2))
-                if several and not trunc.keeps(table, exp):
-                    continue
                 out[exp] = get(exp, 0) + c1 * c2
-        return MultiPoly._from_terms(table, {e: c for e, c in out.items() if c})
+        return MultiPoly._from_terms(self.table,
+                                     {e: c for e, c in out.items() if c})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -318,25 +299,17 @@ def geometric_factor(mono: MultiPoly, trunc: Truncation) -> MultiPoly:
     monomial of positive degree.
     """
     exp, coef = mono.single_term()
-    deg = sum(exp)
-    if deg == 0:
+    if sum(exp) == 0:
         raise ValueError("non-invertible truncation")
-    table = mono.table
-    bounds = []
-    if trunc.max_total is not None:
-        bounds.append(trunc.max_total // deg)
-    for family, cap in trunc.family_caps.items():
-        fdeg = sum(exp[table.family_slice(family)])
-        if fdeg > 0:
-            bounds.append(cap // fdeg)
-    if not bounds:
+    deg = sum(exp[trunc.variables(mono.table)])
+    if deg == 0:
         raise ValueError("truncation does not bound the series")
     terms = {}
     c = 1
-    for j in range(min(bounds) + 1):
+    for j in range(trunc.cap // deg + 1):
         terms[tuple(e * j for e in exp)] = c
         c *= coef
-    return MultiPoly(table, terms)
+    return MultiPoly(mono.table, terms)
 
 
 def product_series(table: VarTable, factors: Iterable[tuple[MultiPoly, int]],

@@ -150,6 +150,9 @@ class TestEnumerate:
         ["map", "inv", "--matrix", "[[2000000]]"],
         # 600,000 insertions at row 2 add up to 1,200,000 cells
         ["map", "inv", "--matrix", "[[0], [600000]]"],
+        # multivariate enumerates every 5x5 matrix of entry sum <= 7:
+        # C(32, 7) = 3,365,856 of them
+        ["verify", "multivariate", "--n", "5", "--m", "5", "--N", "12"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -161,6 +164,9 @@ class TestEnumerate:
         (["verify", "cauchy_type", "--n", "2", "--m", "2", "--N", "6"],
          "1/1"),
         (["enumerate", "shape", "--shape", "2,1", "--m", "2"], "5"),
+        # C(21, 5) = 20,349 matrices
+        (["verify", "multivariate", "--n", "4", "--m", "4", "--N", "8"],
+         "1/1"),
     ])
     def test_work_caps_admit_small_instances(self, capsys, argv, out):
         code, got, _ = run(capsys, *argv)

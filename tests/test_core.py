@@ -385,7 +385,7 @@ class TestNMatrix:
         assert (D.n_rows, D.n_cols) == (2, 3)
         assert tuple(map(sum, D.entries)) == (1, 3)
         assert tuple(map(sum, zip(*D.entries))) == (2, 1, 1)
-        assert D.entry(2, 1) == 2
+        assert D.entries[1][0] == 2
 
     def test_zero_dims_part_of_identity(self):
         assert NMatrix([[0] * 3] * 2) != NMatrix([[0] * 2] * 3)

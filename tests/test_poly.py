@@ -35,19 +35,17 @@ class TestVarTable:
 
 
 class TestTruncation:
+    TERMS = {(1, 2): 1, (2, 2): 3, (9, 1): -2, (0, 2): 5}
+
     def test_total_cap(self):
-        tr = Truncation(max_total=3)
-        assert tr.keeps(T2, (1, 2))
-        assert not tr.keeps(T2, (2, 2))
+        assert Truncation(3).kept_terms(T2, self.TERMS) == {(1, 2): 1, (0, 2): 5}
 
     def test_family_cap(self):
-        tr = Truncation(family_caps={"y": 1})
-        assert tr.keeps(T2, (9, 1))
-        assert not tr.keeps(T2, (0, 2))
+        assert Truncation(1, "y").kept_terms(T2, self.TERMS) == {(9, 1): -2}
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            Truncation(max_total=-1)
+            Truncation(-1)
 
 
 class TestArithmetic:
@@ -70,7 +68,7 @@ class TestArithmetic:
     @given(poly_strategy(), poly_strategy())
     @settings(max_examples=40, deadline=None)
     def test_truncation_homomorphism(self, a, b):
-        tr = Truncation(max_total=2)
+        tr = Truncation(2)
         assert (a * b).truncate(tr) == \
             a.truncate(tr).mul_truncated(b.truncate(tr), tr)
         assert (a + b).truncate(tr) == a.truncate(tr) + b.truncate(tr)
@@ -97,10 +95,9 @@ class TestArithmetic:
 XQ = VarTable([("x", 2), ("q", 1)])
 PRUNING_TRUNCATIONS = [
     None,
-    Truncation(max_total=3),
-    Truncation(family_caps={"q": 1}),
-    Truncation(max_total=4, family_caps={"x": 2}),
-    Truncation(family_caps={"x": 1, "q": 2}),
+    Truncation(3),
+    Truncation(1, "q"),
+    Truncation(2, "x"),
 ]
 
 
@@ -155,16 +152,25 @@ class TestRendering:
 class TestSeries:
     def test_geometric_factor(self):
         q = MultiPoly.var(T2, "x")
-        geo = geometric_factor(q, Truncation(max_total=3))
+        geo = geometric_factor(q, Truncation(3))
         assert geo == MultiPoly(T2, {(d, 0): 1 for d in range(4)})
 
     def test_geometric_rejects_constant(self):
         with pytest.raises(ValueError, match="non-invertible truncation"):
-            geometric_factor(MultiPoly.one(T2), Truncation(max_total=3))
+            geometric_factor(MultiPoly.one(T2), Truncation(3))
+
+    def test_geometric_factor_under_family_cap(self):
+        tq = VarTable([("t", 1), ("q", 1)])
+        t, q = MultiPoly.var(tq, "t"), MultiPoly.var(tq, "q")
+        geo = geometric_factor(t * q ** 2, Truncation(5, "q"))
+        assert geo == 1 + t * q ** 2 + t ** 2 * q ** 4
+        with pytest.raises(ValueError,
+                           match="truncation does not bound the series"):
+            geometric_factor(t, Truncation(5, "q"))
 
     def test_product_series_matches_direct_expansion(self):
         x = MultiPoly.var(T2, "x")
-        tr = Truncation(max_total=4)
+        tr = Truncation(4)
         got = product_series(T2, [(x, 1), (x * x, 1)], tr)
         # partitions into parts 1 and 2: 1,1,2,2,3
         assert [got.coefficient((d, 0)) for d in range(5)] == [1, 1, 2, 2, 3]
@@ -173,7 +179,7 @@ class TestSeries:
 
     def test_product_series_multiplicity(self):
         x = MultiPoly.var(T2, "x")
-        tr = Truncation(max_total=3)
+        tr = Truncation(3)
         assert product_series(T2, [(x, 2)], tr) == \
             MultiPoly(T2, {(d, 0): d + 1 for d in range(4)})
 
