@@ -91,10 +91,11 @@ class PlanePartition:
     columns; absent cells read as 0.
 
     Stored canonically: zero entries are trimmed, so two plane partitions
-    are equal iff their stored rows are equal.
+    are equal iff their stored rows are equal.  The descent walk is built
+    on first use and kept; it plays no part in equality or hashing.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_walk")
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         raw = [tuple(map(int, row)) for row in rows]
@@ -125,6 +126,7 @@ class PlanePartition:
             if any(map(lt, upper, lower)):
                 raise ValueError("columns must be weakly decreasing")
         self.rows = rows
+        self._walk = None
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "PlanePartition":
@@ -134,6 +136,7 @@ class PlanePartition:
         """
         pp = object.__new__(cls)
         pp.rows = rows
+        pp._walk = None
         return pp
 
     def __eq__(self, other) -> bool:
@@ -167,22 +170,26 @@ class PlanePartition:
             row[i] for i, row in enumerate(self.rows) if i < len(row)
         )
 
-    def _descent_rows(self, labels=None) -> list[list]:
+    def _descent_rows(self, labels=None) -> tuple[tuple, ...]:
         """The descent walk: for each row i, the entries of its descent
         cells, left to right.  A descent cell's entry strictly exceeds
         the entry directly below it (absent cells read 0), so the cells
         past the end of the row below are all descents.  Given `labels`,
         one sequence per row parallel to it, the walk picks the labels of
         the descent cells instead of their entries.  Every descent
-        statistic reduces this walk.
+        statistic reduces this walk; the walk of the entries is built by
+        the first call and returned by every later one.
         """
-        rows = self.rows
         if labels is None:
-            labels = rows
-        return [[*compress(label, map(gt, row, below)), *label[len(below):]]
-                for row, below, label in zip(rows, rows[1:] + ((),), labels)]
+            if self._walk is None:
+                self._walk = self._descent_rows(self.rows)
+            return self._walk
+        rows = self.rows
+        return tuple([
+            (*compress(label, map(gt, row, below)), *label[len(below):])
+            for row, below, label in zip(rows, rows[1:] + ((),), labels)])
 
-    def _descent_columns(self) -> list[list[int]]:
+    def _descent_columns(self) -> tuple[tuple[int, ...], ...]:
         """For each row, the columns j of its descent cells."""
         return self._descent_rows(
             [range(1, len(row) + 1) for row in self.rows])

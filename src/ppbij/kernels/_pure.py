@@ -148,73 +148,50 @@ def matrices_weighted(n, m, weights, bound):
     return results
 
 
-def insert_level(rows, level, i, count=1):
-    """`count` insertion steps of the inverse map at once, in place on
-    `rows` (a list of row lists forming a plane partition): row i grows
-    by `count` cells, and every shorter row above it grows to the same
-    length, the new cells holding `level`.  count >= 1.
-
-    One step fills the leftmost column of length < i with `level` down
-    to row i, opening a new column on the right when every column is at
-    least i long; `count` steps fill the `count` columns from index
-    len(rows[i-1]) on.  The walk visits the rows it lengthens and the
-    row above them, so the call costs the rows it changes.  Raises
-    ValueError("invalid insertion") if a cell just above the new cells
-    of a column is below `level`, leaving `rows` as it was.
-    """
-    n_rows = len(rows)
-    if i <= n_rows:
-        top = i - 1
-        below = len(rows[top])
-    else:
-        top = n_rows
-        below = 0
-    target = below + count
-    # walk up from row i to the first row of length >= target; rows[top:i]
-    # grow to `target`.  Where a row above is longer than the one below
-    # it, the columns below..min(width, target)-1 get their top new cell
-    # under it, and its cell in the last of them is the least
-    while top:
-        above = rows[top - 1]
-        width = len(above)
-        if width > below:
-            if above[(width if width < target else target) - 1] < level:
-                raise ValueError("invalid insertion")
-            if width >= target:
-                break
-            below = width
-        top -= 1
-    if i > n_rows:
-        rows.extend([] for _ in range(i - n_rows))
-    for row in rows[top:i]:
-        row += [level] * (target - len(row))
-
-
 def phi_inverse_rows(entries, n, m):
     """Invert the descent-level-count map: rebuild the unique plane
     partition (row tuples) with at most n rows and entries <= m whose
     count matrix is `entries`.
 
-    Scan order: value column l = m..1, row index i = n..1, one batched
-    insertion (insert_level) per nonzero d[i][l].
+    One pass per level l = m..1, bottom-up over the rows, appending
+    level l: row i reaches at least the new length of row i+1 (a cell
+    above a cell of level l holds at least l), and its d[i][l] descent
+    cells of level l lie past that, so row i ends at
+    max(len(row i), new len(row i+1)) + d[i][l].
     """
-    rows = []
+    rows = [[] for _ in range(n)]
     for l in range(m, 0, -1):
-        for i in range(n, 0, -1):
-            d = entries[i - 1][l - 1]
-            if d:
-                insert_level(rows, l, i, d)
-    return tuple(map(tuple, rows))
+        width = 0  # the new length of the row below
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            have = len(row)
+            if width < have:
+                width = have
+            width += entries[i][l - 1]
+            if width > have:
+                row += [l] * (width - have)
+    return tuple(map(tuple, filter(None, rows)))
 
 
 def word_tableau_rows(letters):
     """The inverse map on a word's 0/1 matrix, whose column p holds a
     single 1 at row letters[p-1]: rebuild the strict tableau (row
-    tuples) by inserting p at row letters[p-1] for p = n..1.
+    tuples) for p = n..1, where p fills the leftmost column shorter than
+    i = letters[p-1] down to row i.  That column ends row i, so p goes
+    at the end of row i and of each row above it of the same length.
     """
-    rows = []
+    rows = [[] for _ in range(max(letters, default=0))]
     for p in range(len(letters), 0, -1):
-        insert_level(rows, p, letters[p - 1])
+        k = letters[p - 1] - 1
+        row = rows[k]
+        width = len(row)
+        row.append(p)
+        while k:
+            k -= 1
+            row = rows[k]
+            if len(row) != width:
+                break
+            row.append(p)
     return tuple(map(tuple, rows))
 
 

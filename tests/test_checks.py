@@ -4,7 +4,7 @@ import hashlib
 import sys
 from collections import Counter
 from itertools import compress, zip_longest
-from operator import ge
+from operator import add, ge
 
 import pytest
 
@@ -20,7 +20,6 @@ from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition, Word
 from ppbij.enumeration import gen_matrix_images, gen_partitions_in_box, \
     gen_pp_box, gen_pp_shape
-from ppbij.kernels import _pure
 from ppbij.poly import MultiPoly, Truncation, VarTable, elementary_all
 from ppbij.symfun import descent_monomial, family_vars, g_combinatorial, \
     g_refined
@@ -180,6 +179,22 @@ TALLIED_MUTANTS = [
     ("column_counts", check_gexp, (Partition([2, 1]),)),
     ("volume", check_infinite_volume, (4,)),
 ]
+
+
+def counts_one_row_up(entries):
+    """The count matrix with the counts of each row i >= 2 moved to row
+    i-1: row 1 holds d[1] + d[2] and the last row none.
+    """
+    if len(entries) < 2:
+        return entries
+    return [list(map(add, entries[0], entries[1])), *entries[2:],
+            [0] * len(entries[0])]
+
+
+def cells_one_level_low(kernel):
+    """`kernel` with every cell of its row tuples one lower."""
+    return lambda *args: tuple(tuple(v - 1 for v in row)
+                               for row in kernel(*args))
 
 
 # the checks that read the inverse map (phi_inverse, the word map or the
@@ -374,14 +389,20 @@ class TestMutationSensitivity:
     @pytest.mark.parametrize("check, args", ROW_SENSITIVE)
     def test_insertion_one_row_short_is_caught(self, monkeypatch, check,
                                                args):
-        # the inverse map fills each new column down to row i-1 instead
-        # of row i (row 1 stays row 1); the corner volume and the column
-        # counts do not read the row index, so corner_volume and dalpha
-        # cannot see this fault
-        insert_level = _pure.insert_level
+        # the inverse map credits row max(i-1, 1) in place of row i: the
+        # recurrence grows row i-1 by d[i][l], and the word step fills
+        # each new column down to the row above the letter's (row 1
+        # stays row 1); the corner volume and the column counts do not
+        # read the row index, so corner_volume and dalpha cannot see this
+        # fault
+        phi_inverse_rows = kernels.phi_inverse_rows
+        word_tableau_rows = kernels.word_tableau_rows
         monkeypatch.setattr(
-            _pure, "insert_level", lambda rows, level, i, count=1:
-            insert_level(rows, level, max(i - 1, 1), count))
+            kernels, "phi_inverse_rows", lambda entries, n, m:
+            phi_inverse_rows(counts_one_row_up(entries), n, m))
+        monkeypatch.setattr(
+            kernels, "word_tableau_rows", lambda letters:
+            word_tableau_rows([max(a - 1, 1) for a in letters]))
         r = check(*args)
         assert r.passed is False
         assert r.first_diff is not None
@@ -390,12 +411,11 @@ class TestMutationSensitivity:
     @pytest.mark.parametrize("check, args", LEVEL_SENSITIVE)
     def test_insertion_one_level_low_is_caught(self, monkeypatch, check,
                                                args):
-        # the inverse map inserts level-1 in place of level (the zeros
-        # it makes at level 1 are trimmed)
-        insert_level = _pure.insert_level
-        monkeypatch.setattr(
-            _pure, "insert_level", lambda rows, level, i, count=1:
-            insert_level(rows, level - 1, i, count))
+        # the recurrence and the word step write level-1 in place of
+        # level (the zeros they make at level 1 are trimmed)
+        for name in ("phi_inverse_rows", "word_tableau_rows"):
+            monkeypatch.setattr(kernels, name,
+                                cells_one_level_low(getattr(kernels, name)))
         r = check(*args)
         assert r.passed is False
         assert r.first_diff is not None

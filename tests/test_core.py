@@ -1,6 +1,6 @@
 """Value types and the statistics defined on them."""
 
-from itertools import count
+from itertools import count, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,6 +213,26 @@ class TestDescentWalk:
             exp[i - 1] += 1
             exp[n + v - 1] += 1
         assert descent_monomial(table, pp) == tuple(exp)
+
+    def test_walk_is_built_once(self):
+        pp = PlanePartition([[3, 2, 2, 1], [2, 1], [1]])
+        walk = pp._descent_rows()
+        assert pp._descent_rows() is walk
+        assert walk == ((3, 2, 2, 1), (2, 1), (1,))
+
+    def test_equality_and_hash_ignore_the_walk(self):
+        # a plane partition whose walk is kept equals, and hashes as, one
+        # whose walk is not built yet, whichever constructor made each
+        rows = [[3, 2, 2, 1], [2, 1], [1]]
+        builders = (PlanePartition, PlanePartition.from_json,
+                    lambda rows: PlanePartition._from_rows(
+                        tuple(map(tuple, rows))))
+        for walked_by, fresh_by in product(builders, repeat=2):
+            walked, fresh = walked_by(rows), fresh_by(rows)
+            walked.descent_count()
+            assert walked._walk is not None and fresh._walk is None
+            assert walked == fresh and fresh == walked
+            assert hash(walked) == hash(fresh)
 
 
 class TestStatistics:

@@ -1,14 +1,14 @@
-"""The kernel package's exports, the box kernel, the insertion step and
-the kernel loads the benchmark times.
+"""The kernel package's exports, the box kernel, the inverse map's
+insertion and the kernel loads the benchmark times.
 """
 
 import gc
 import importlib.util
 import inspect
+import random
 from itertools import product
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppbij import kernels
@@ -45,9 +45,10 @@ def pp_box_reference(k, n, m, max_volume=None):
 
 
 def insert_level_unit_reference(rows, level, i):
-    """The one-step insertion the batched step replaced, kept as a
-    reference: fill the leftmost column of length < i with `level` down
-    to row i, walking up the rows that have exactly that column's length.
+    """One insertion step of the inverse map on row lists, kept as a
+    reference for the word map: fill the leftmost column of length < i
+    with `level` down to row i, walking up the rows that have exactly
+    that column's length.
     """
     n_rows = len(rows)
     width = len(rows[i - 1]) if i <= n_rows else 0
@@ -125,11 +126,6 @@ def phi_counts_reference(rows, n, m):
     return tuple(tuple(r) for r in d)
 
 
-def columns_of(rows):
-    width = len(rows[0]) if rows else 0
-    return [[row[j] for row in rows if len(row) > j] for j in range(width)]
-
-
 @st.composite
 def count_matrices(draw, max_dim=8, max_entry=3):
     n = draw(st.integers(1, max_dim))
@@ -143,8 +139,7 @@ class TestSelection:
         assert kernels.BACKEND == "pure"
         for name in ("row_candidates", "pp_box", "pp_shape",
                      "matrices_weighted", "phi_inverse_rows",
-                     "word_tableau_rows", "insert_level", "lis_tail",
-                     "lis_tails"):
+                     "word_tableau_rows", "lis_tail", "lis_tails"):
             assert hasattr(kernels, name)
 
 
@@ -192,79 +187,48 @@ class TestBoxKernel:
 
 
 class TestInsertion:
-    """kernels.insert_level on row lists forming a plane partition."""
+    """The inverse map's insertion: the unit step inlined in
+    kernels.word_tableau_rows and the level recurrence of
+    kernels.phi_inverse_rows.
+    """
 
     def test_single_insertion_step(self):
-        # fill an empty diagram, then open a new column to its right
-        rows = []
-        kernels.insert_level(rows, 3, 2)
-        assert rows == [[3], [3]]
-        kernels.insert_level(rows, 2, 1)
-        assert rows == [[3, 2], [3]]
+        # 2 fills an empty diagram down to row 2, then 1 opens a new
+        # column to its right in row 1
+        assert kernels.word_tableau_rows((1, 2)) == ((2, 1), (2,))
 
     def test_insertion_picks_leftmost_short_column(self):
-        # the plane partition [[3, 3], [3]]: the second column is extended
-        rows = [[3, 3], [3]]
-        kernels.insert_level(rows, 2, 2)
-        assert rows == [[3, 3], [3, 2]]
-
-    def test_invalid_insertion(self):
-        # the single column (1, 1) cannot take a 2 below it
-        with pytest.raises(ValueError, match="invalid insertion"):
-            kernels.insert_level([[1], [1]], 2, 3)
-
-    @given(count_matrices(max_dim=5), st.integers(1, 4), st.integers(1, 7))
-    @settings(max_examples=200, deadline=None)
-    def test_step_matches_column_step(self, matrix, level, i):
-        # any plane partition with entries <= 3, any level and row: the
-        # row-form step adds the cells, or raises, as the column step does
-        n, m, entries = matrix
-        rows = [list(r) for r in kernels.phi_inverse_rows(entries, n, m)]
-        cols = columns_of(rows)
-        try:
-            insert_column_reference(cols, level, i)
-        except ValueError as exc:
-            before = [list(r) for r in rows]
-            with pytest.raises(ValueError, match=str(exc)):
-                kernels.insert_level(rows, level, i)
-            assert rows == before
-            return
-        kernels.insert_level(rows, level, i)
-        assert columns_of(rows) == cols
+        # 1 goes to row 2 of [[3, 2], [3]]: the second column is extended
+        assert kernels.word_tableau_rows((2, 1, 2)) == ((3, 2), (3, 1))
 
     def test_batched_insertion(self):
-        # three 1s at row 2 of [[3, 2], [2]]: row 2 grows by three and
-        # row 1 grows to the same length
-        rows = [[3, 2], [2]]
-        kernels.insert_level(rows, 1, 2, 3)
-        assert rows == [[3, 2, 1, 1], [2, 1, 1, 1]]
-        # a 3 in the second column would sit under the 2
-        rows = [[3, 2], [2]]
-        with pytest.raises(ValueError, match="invalid insertion"):
-            kernels.insert_level(rows, 3, 2, 2)
-        assert rows == [[3, 2], [2]]
+        # the count matrix of [[3, 2], [2]] with three 1s more at row 2:
+        # row 2 grows by three and row 1 grows to the same length
+        assert kernels.phi_inverse_rows(((0, 1, 1), (3, 1, 0)), 2, 3) == \
+            ((3, 2, 1, 1), (2, 1, 1, 1))
 
-    @given(count_matrices(max_dim=5), st.integers(1, 4), st.integers(1, 7),
-           st.integers(1, 5))
-    @settings(max_examples=300, deadline=None)
-    def test_batch_matches_unit_steps(self, matrix, level, i, count):
-        # any plane partition with entries <= 3, any level, row and
-        # count: one batched call adds the cells of `count` unit steps,
-        # or raises, leaving the rows unchanged, where a unit step raises
-        n, m, entries = matrix
-        rows = [list(r) for r in kernels.phi_inverse_rows(entries, n, m)]
-        before = [list(r) for r in rows]
-        steps = [list(r) for r in rows]
-        try:
-            for _ in range(count):
-                insert_level_unit_reference(steps, level, i)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                kernels.insert_level(rows, level, i, count)
-            assert rows == before
-            return
-        kernels.insert_level(rows, level, i, count)
-        assert rows == steps
+    @given(st.integers(1, 9).flatmap(
+        lambda m: st.lists(st.integers(1, m), max_size=120)))
+    @settings(max_examples=200, deadline=None)
+    def test_word_step_matches_unit_steps(self, letters):
+        # any word of up to 120 letters over up to 9: the word map adds
+        # the cells of one reference step per letter, p = n..1
+        rows = []
+        for p in range(len(letters), 0, -1):
+            insert_level_unit_reference(rows, p, letters[p - 1])
+        assert kernels.word_tableau_rows(letters) == tuple(map(tuple, rows))
+
+    def test_level_recurrence_matches_column_insertion(self):
+        # dense 20 x 20 matrices, the largest the benchmark draws, and
+        # the zero-size ones
+        rng = random.Random(15)
+        cases = [(20, 20, [[rng.randint(0, 3) for _ in range(20)]
+                           for _ in range(20)]) for _ in range(4)]
+        cases += [(20, 20, [[3] * 20] * 20), (0, 3, []), (3, 0, [[]] * 3),
+                  (0, 0, [])]
+        for n, m, entries in cases:
+            assert kernels.phi_inverse_rows(entries, n, m) == \
+                phi_inverse_by_columns(entries, n, m)
 
 
 words_by_alphabet = st.integers(1, 9).flatmap(lambda m: st.tuples(
