@@ -369,8 +369,8 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     """Corner-volume generating functions: boxed family against the
     Schur specialization with n leading ones; exact-base family with n-1
     leading ones; unbounded-row-length family against the product, up to
-    q-degree N.  Also the q=1 slice of the exact-base identity, which
-    counts the box with largest entry m-1.
+    q-degree N.  Also the q=1 slice of the exact-base identity against
+    MacMahon's count of the box with largest entry m-1.
     """
     t0 = time.perf_counter()
     rho = Partition.rectangle(k, n)
@@ -391,8 +391,7 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     rhs3 = product_series(_QT, [(_q(i), n) for i in range(1, m + 1)], trunc)
 
     slice_lhs = sum(lhs2.terms.values())
-    slice_rhs = sum(1 for _ in gen_pp_box(k, n, m - 1)) if m >= 1 \
-        else int(k * n == 0)
+    slice_rhs = macmahon_count(k, n, m - 1) if m >= 1 else int(k * n == 0)
 
     return _build("corner_volume", {"k": k, "n": n, "m": m, "N": N},
                   [("box_q1", lhs1, rhs1),
@@ -464,6 +463,13 @@ def check_greene(n: int, m: int) -> CheckResult:
                   [("mismatches", mismatches, 0)], t0, notes)
 
 
+def _multisets(n: int, a: int) -> int:
+    """The number of multisets of size a from n values; one empty one
+    at n = 0.
+    """
+    return math.comb(n + a - 1, a) if n else int(a == 0)
+
+
 def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
     """Descent enumeration counts: permutation symmetry, dominance
     monotonicity, the Kostka/skew-Schur expansion, the unbounded product
@@ -497,9 +503,7 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
                 sym_fail += 1
             if da != expansion[alpha]:
                 kostka_fail += 1
-            # multisets of size a from n values; one empty one at n = 0
-            prod = math.prod(math.comb(n + a - 1, a) if n else int(a == 0)
-                             for a in alpha)
+            prod = math.prod(_multisets(n, a) for a in alpha)
             if count_D_alpha(None, n, m, alpha) != prod:
                 product_fail += 1
         for alpha in alphas:
@@ -612,6 +616,143 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
+# -- work models -------------------------------------------------------
+#
+# WORK[name] takes a check's parameters, with the check's defaults, and
+# returns the work its enumerated sides do, counted in the objects they
+# build.  Where one visited item builds several objects, each counts;
+# where an item's cost grows with its size, its entries or cells count.
+# So a unit of work costs about the same, 1-25 us, in every check.  The
+# models read closed forms: MacMahon's box count, m^n words, binomials
+# and the size of a weighted matrix window.  By the equidistribution of
+# the up-hook volume with the volume, the window of weights i+l-1 over
+# an N x N grid, bounded by N, also counts the plane partitions of
+# volume at most N.
+
+# a window matrix builds its entries, its image's rows and the validated
+# plane partition
+PER_MATRIX = 3
+
+
+def _box(k: int, n: int, m: int) -> int:
+    return int(macmahon_count(k, n, m))
+
+
+def _window(n: int, m: int, bound: int,
+            weight: Callable[[int, int], int] = lambda i, l: 1) -> int:
+    """The number of n x m N-matrices D with sum(D[i][l] * weight(i, l))
+    at most bound, by a coin change over the cells' weights.
+    """
+    ways = [1] + [0] * bound
+    for i in range(1, n + 1):
+        for l in range(1, m + 1):
+            w = weight(i, l)
+            for t in range(w, bound + 1):
+                ways[t] += ways[t - w]
+    return sum(ways)
+
+
+def _hook(i: int, l: int) -> int:
+    return i + l - 1
+
+
+def _strict_rows(lam: Partition, n: int) -> int:
+    """The rows that gen_strict_tableaux(lam, n) lists, estimated as all
+    C(n + lam_1, lam_1) weakly decreasing rows under (n^lam_1) for each
+    row of lam; none unless lam_1 <= n <= |lam|.
+    """
+    if not lam.part(1) <= n <= lam.size():
+        return 0
+    return len(lam) * math.comb(n + lam.part(1), n)
+
+
+def _uh_restricted_work(mode: str, bound: int, N: int) -> int:
+    rows, cols = (N, bound) if mode == "entries" else (bound, N)
+    return PER_MATRIX * _window(rows, cols, N + 1, _hook)
+
+
+def _frobenius_work(n: int, m: int) -> int:
+    # the strict-tableau search of each shape, and for each word the
+    # Word, its tableau and the word read back
+    return sum(_strict_rows(lam, n) for lam in gen_partitions_in_box(n, m)) \
+        + 3 * m ** n
+
+
+def _gexp_work(lam: Partition, n_max: int | None = None) -> int:
+    # the fillings of lam with entries in [1, n] and its strict tableaux;
+    # a filling's rows, and its columns, are multisets of such entries
+    if n_max is None:
+        n_max = lam.size()
+    return sum(min(math.prod(_multisets(n, p) for p in lam.parts),
+                   math.prod(_multisets(n, p) for p in lam.conjugate().parts))
+               + _strict_rows(lam, n) for n in range(n_max + 1))
+
+
+def _dalpha_work(k: int, n: int, m: int, N_max: int) -> int:
+    # the box tally; the column-strict fillings of the shapes inside rho,
+    # at most the box; the skew fillings of rho/lam with entries <= n, at
+    # most the k x n x n box; the matrices of column sums alpha over every
+    # alpha, which are the n x m matrices of entry sum <= N_max; and the
+    # pairs of contents of each weight
+    return (2 * _box(k, n, m) + _box(k, n, n)
+            + PER_MATRIX * _window(n, m, N_max)
+            + sum(_multisets(m, w) ** 2 for w in range(N_max + 1)))
+
+
+def _superadditivity_work(k: int, n: int, m: int,
+                          scales: Sequence[int] = (1, 2, 3)) -> int:
+    # each pair builds a sum, a merged n x m matrix and its image, at a
+    # cost that grows with the matrix's n*m entries and the at most k*n
+    # cells of the sum and the image; each member builds its matrix and
+    # its scalings
+    count = _box(k, n, m)
+    return (n * m + k * n) * count ** 2 + (2 + len(scales)) * count
+
+
+def _fillings_work(width: int, n: int, m: int) -> int:
+    # the fillings with entries <= m of the shapes in a width x n box are
+    # the plane partitions of the width x n x m box, and each builds a
+    # plane partition and its statistic; the filling kernel visits every
+    # cell of every shape, C(width + n, n) * width * n / 2 cells in all
+    return 2 * _box(width, n, m) + math.comb(width + n, n) * width * n // 2
+
+
+WORK: dict[str, Callable[..., int]] = {
+    "macmahon_box": _box,
+    "infinite_volume": lambda N: _window(N, N, N, _hook),
+    "qschur": _box,
+    "multivariate": lambda n, m, N: PER_MATRIX * _window(n, m, N // 2 + 1),
+    "cauchy_type": lambda n, m, N: _fillings_work(N // 2 + 1, n, m),
+    "gl": lambda n, m, N: _fillings_work(N + 1, n, m),
+    "uh_des": lambda n, m, N: PER_MATRIX * _window(n, m, N + 1, _hook),
+    "equidistribution": lambda N: N and (
+        PER_MATRIX * _window(N + 1, N + 1, N + 1, _hook)
+        + _window(N, N, N, _hook)),
+    "uh_restricted": _uh_restricted_work,
+    "corner_volume": lambda k, n, m, N=5: (
+        _box(k, n, m) + PER_MATRIX * _window(n, m, N + 1, lambda i, l: l)),
+    "frobenius": _frobenius_work,
+    "gexp": _gexp_work,
+    # each word builds a Word, its tableau and its Greene shape
+    "greene": lambda n, m: 3 * m ** n,
+    "dalpha": _dalpha_work,
+    "superadditivity": _superadditivity_work,
+}
+
+
+def _arguments(name: str, params: dict) -> dict:
+    """A grid entry's parameters as the keyword arguments of its check."""
+    params = dict(params)
+    if name == "gexp":
+        params["lam"] = Partition(params.pop("lambda"))
+    return params
+
+
+def work(name: str, params: dict) -> int:
+    """The objects that check `name` builds on a grid entry's parameters."""
+    return WORK[name](**_arguments(name, params))
+
+
 def load_grids() -> dict:
     """The versioned parameter grids for the run_all levels."""
     text = resources.files("ppbij").joinpath("verify_grids.json").read_text()
@@ -624,9 +765,7 @@ def _run_entry(entry: dict) -> CheckResult:
     """
     t0 = time.perf_counter()
     fn = CHECKS[entry["check"]]
-    params = dict(entry["params"])
-    if entry["check"] == "gexp":
-        params["lam"] = Partition(params.pop("lambda"))
+    params = _arguments(entry["check"], entry["params"])
     try:
         return fn(**params)
     except Exception as exc:

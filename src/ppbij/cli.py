@@ -2,10 +2,16 @@
 tables, enumerate families, and run the identity-check suites.
 
 Exit codes: 0 success (all checks pass), 1 domain error or check
-failure, 2 usage error (malformed input, unknown name, parameter caps).
+failure, 2 usage error (malformed input, unknown name, size caps).
 All output is deterministic for fixed inputs: the generating polynomial
 of `enumerate --gf` prints in ascending degree and JSON keys are emitted
 in a fixed order.
+
+Size caps: `verify NAME`, `enumerate box|shape|words`, `map inv` and
+`dalpha` count the objects they would build, before building any, and
+refuse more than CAP_WORK of them; `verify NAME` takes the count from
+the check's model in `checks.WORK`.  Each parameter is capped too, so
+that the count stays cheap to work out.
 """
 
 from __future__ import annotations
@@ -19,30 +25,27 @@ from collections import Counter
 
 from .bijection import greene_shape, phi, phi_inverse, \
     word_to_strict_tableau
-from .checks import CHECKS, CheckResult, _run_entry, macmahon_count, run_all
+from .checks import CHECKS, PER_MATRIX, CheckResult, _multisets, \
+    _run_entry, macmahon_count, run_all, work
 from .core import NMatrix, Partition, PlanePartition, Word
 from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
     gen_strict_tableaux, gen_words
 
-# Hard parameter caps: exhaustive enumeration is exponential, so reject
-# desk-scale overruns up front unless --unsafe-no-caps is given.
+# Two kinds of caps, lifted by --unsafe-no-caps.  Per-parameter caps
+# keep each work model cheap to evaluate and bound the kernels'
+# recursion depth: box sides, shape rows and widths and --bound up to 5
+# (k is also the size of the Schur determinants), degree windows up to
+# 12, word lengths and the n of `verify` up to 10, and up to 8 variables
+# in gexp (9 take over a minute).
 CAP_BOX = 5
 CAP_N = 12
 CAP_WORD = 10
-# Boxes are also capped by their exact size (MacMahon's product), since
-# 5x5x5 passes CAP_BOX but holds 267,227,532 plane partitions; 10**6
-# admits 4x4x4 (232,848) and 3x5x5 (731,808).  It also caps the cells
-# `map inv` may build, sum(i * d[i][l]).
-CAP_BOX_COUNT = 10 ** 6
-# gexp builds dual Grothendieck polynomials in up to n_max variables:
-# n_max = 8 takes seconds, 9 over a minute.
 CAP_GEXP_N = 8
-# Words are capped by their count m^n: 5^10 passes CAP_WORD and CAP_BOX
-# but lists 9,765,625 words; 10**6 admits 5^8 (390,625).
-CAP_WORD_COUNT = 10 ** 6
-# superadditivity loops over all ordered pairs of the box (~170 us a
-# pair): 10**5 admits 2x3x3 (30,625 pairs), not 3x3x3 (960,400).
-CAP_BOX_PAIRS = 10 ** 5
+# One work cap over the objects a command builds: `checks.WORK` for
+# `verify NAME`, its own count for each other command.  It admits the
+# 5^8 words of `enumerate words --n 8 --m 5`.  A unit costs 1-25 us, so
+# an admitted command runs for at most about 8 s.
+CAP_WORK = 400_000
 
 
 class UsageError(Exception):
@@ -53,19 +56,18 @@ class DomainError(Exception):
     """Structurally valid input outside an operation's domain: exit 1."""
 
 
-def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
-                words=None, box_pairs=False, cells=None, matrices=None):
+def _check_caps(args, dims=(), N=None, word_len=None, n_max=None,
+                work=None):
     """Raise UsageError for the first negative parameter, and for the
     first parameter over its cap unless --unsafe-no-caps was given.
-    `box` is a (k, n, m) triple whose plane partitions the command
-    enumerates, all pairs of them if `box_pairs`; `words` is an (n, m)
-    pair whose m^n words it enumerates; `cells` bounds the cells of the
-    one plane partition the command builds; `matrices` is a (c, w) pair
-    whose C(c + w, w) matrices of c entries summing to at most w it
-    enumerates.
+    `dims` are (name, value) pairs capped as box sides.  `work` is a
+    (what, count) pair: count() is the number of objects the command
+    builds, evaluated only once every parameter is within its cap.
     """
-    for what, value in [*dims, ("N", N), ("word length", word_len),
-                        ("n_max", n_max)]:
+    limits = [*((name, value, CAP_BOX) for name, value in dims),
+              ("N", N, CAP_N), ("word length", word_len, CAP_WORD),
+              ("n_max", n_max, CAP_GEXP_N)]
+    for what, value, _ in limits:
         if value is not None and value < 0:
             raise UsageError(f"{what}={value} is negative; --unsafe-no-caps "
                              "does not lift this")
@@ -77,27 +79,12 @@ def _check_caps(args, dims=(), N=None, word_len=None, box=None, n_max=None,
             raise UsageError(f"{what} exceeds the cap {limit}; "
                              "pass --unsafe-no-caps to override")
 
-    for name, value in dims:
-        cap(f"{name}={value}", value, CAP_BOX)
-    cap(f"N={N}", N, CAP_N)
-    cap(f"word length {word_len}", word_len, CAP_WORD)
-    cap(f"n_max={n_max}", n_max, CAP_GEXP_N)
-    cap(f"the image's cell bound {cells} (the sum of i*d[i][l])", cells,
-        CAP_BOX_COUNT)
-    if words is not None:
-        n, m = words
-        cap(f"the word count {m}^{n}", m ** n, CAP_WORD_COUNT)
-    if matrices is not None:
-        c, w = matrices
-        cap(f"the matrix count C({c + w}, {w})", math.comb(c + w, w),
-            CAP_BOX_COUNT)
-    if box is not None:
-        count = macmahon_count(*box)
-        cap("the {}x{}x{} box's plane-partition count {}".format(*box, count),
-            count, CAP_BOX_COUNT)
-        if box_pairs:
-            cap("the {}x{}x{} box's pair count {}".format(*box, count ** 2),
-                count ** 2, CAP_BOX_PAIRS)
+    for what, value, limit in limits:
+        cap(f"{what}={value}", value, limit)
+    if work is not None:
+        what, count = work
+        count = count()
+        cap(f"the work of {what}, {count},", count, CAP_WORK)
 
 
 def _read_input(args, flag: str):
@@ -182,8 +169,9 @@ def cmd_map(args) -> int:
     elif args.direction == "inv":
         D = _parse_matrix(_read_input(args, "matrix"))
         # d[i][l] insertions at row i add at most i cells each
-        _check_caps(args, cells=sum(
-            i * sum(row) for i, row in enumerate(D.entries, 1)))
+        cells = sum(i * sum(row) for i, row in enumerate(D.entries, 1))
+        _check_caps(args, work=("the image (its cells, at most the sum of "
+                                "i*d[i][l])", lambda: cells))
         try:
             pp = phi_inverse(D)
         except ValueError as exc:
@@ -238,16 +226,20 @@ def cmd_enumerate(args) -> int:
             raise UsageError("enumerate box needs three dimensions: k n m")
         k, n, m = args.dims
         _check_caps(args, dims=[("k", k), ("n", n), ("m", m)],
-                    box=(k, n, m))
+                    work=(f"the {k}x{n}x{m} box (its plane partitions)",
+                          lambda: macmahon_count(k, n, m)))
         items = gen_pp_box(k, n, m)
     elif args.family == "shape":
         if args.shape is None or args.m is None:
             raise UsageError("enumerate shape needs --shape and --m")
         lam = _parse_shape(args.shape)
         # the fillings lie in the shape's bounding box
+        box = (lam.part(1), len(lam), args.m)
         _check_caps(args, dims=[("shape rows", len(lam)),
                                 ("shape width", lam.part(1)), ("m", args.m)],
-                    box=(lam.part(1), len(lam), args.m))
+                    work=("the shape's {}x{}x{} bounding box (its plane "
+                          "partitions)".format(*box),
+                          lambda: macmahon_count(*box)))
         items = gen_pp_shape(lam, args.m)
     elif args.family == "st":
         if args.shape is None or args.n is None:
@@ -260,7 +252,8 @@ def cmd_enumerate(args) -> int:
         if args.n is None or args.m is None:
             raise UsageError("enumerate words needs --n and --m")
         _check_caps(args, dims=[("m", args.m)], word_len=args.n,
-                    words=(args.n, args.m))
+                    work=(f"the words of length {args.n} over {args.m} "
+                          "letters", lambda: args.m ** args.n))
         ws = gen_words(args.n, args.m)
         if args.list:
             ws = list(ws)
@@ -305,9 +298,16 @@ def cmd_dalpha(args) -> int:
     alpha = _parse_vector(args.alpha)
     if len(alpha) != args.m:
         raise UsageError("--alpha must have exactly m components")
+    if args.k is None:
+        # the matrices of column sums alpha, each validated and inverted
+        built = ("the matrices of column sums alpha (three objects each)",
+                 lambda: PER_MATRIX * math.prod(
+                     _multisets(args.n, a) for a in alpha))
+    else:
+        built = (f"the {args.k}x{args.n}x{args.m} box (its plane partitions)",
+                 lambda: macmahon_count(args.k, args.n, args.m))
     _check_caps(args, dims=[("k", args.k), ("n", args.n), ("m", args.m)],
-                N=sum(alpha),
-                box=None if args.k is None else (args.k, args.n, args.m))
+                N=sum(alpha), work=built)
     count = count_D_alpha(args.k, args.n, args.m, alpha)
     _emit(args, [str(count)],
           {"k": args.k, "n": args.n, "m": args.m,
@@ -355,50 +355,34 @@ def cmd_verify(args) -> int:
     else:
         if args.name not in CHECKS:
             raise UsageError(f"unknown check {args.name!r}")
-        fn = CHECKS[args.name]
-        accepted = set(inspect.signature(fn).parameters)
-        supplied = {}
+        accepted = inspect.signature(CHECKS[args.name]).parameters
         mapping = {
             "k": args.k, "n": args.n, "m": args.m, "N": args.N,
             "N_max": args.N, "n_max": args.N, "mode": args.mode,
             "bound": args.bound,
             "lam": _parse_shape(args.shape) if args.shape else None,
         }
-        for key, value in mapping.items():
-            if key in accepted and value is not None:
-                supplied[key] = value
-        missing = [p for p, param in
-                   inspect.signature(fn).parameters.items()
-                   if param.default is inspect.Parameter.empty
-                   and p not in supplied]
+        supplied = {key: value for key, value in mapping.items()
+                    if key in accepted and value is not None}
+        missing = [p for p, param in accepted.items()
+                   if param.default is param.empty and p not in supplied]
         if missing:
             raise UsageError(
                 f"check {args.name!r} needs: {', '.join(sorted(missing))}")
-        box = tuple(supplied.get(d) for d in ("k", "n", "m"))
-        dims = list(zip(("k", "n", "m", "bound"),
-                        box + (supplied.get("bound"),)))
-        if args.name in ("gl", "cauchy_type"):
-            # both sum, over the shapes of a width x n box, the fillings
-            # with entries <= m: the plane partitions of the width x n x m
-            # box, width being the enlarged window
-            N = supplied["N"]
-            width = N + 1 if args.name == "gl" else N // 2 + 1
-            box = (width, supplied["n"], supplied["m"])
-        # multivariate enumerates the n x m matrices of its enlarged
-        # window, those with entry sum at most N//2 + 1
-        matrices = (supplied["n"] * supplied["m"], supplied["N"] // 2 + 1) \
-            if args.name == "multivariate" else None
+        # n is the word length of greene and frobenius; k, m and --bound
+        # are box sides
+        dims = [(p, supplied.get(p)) for p in ("k", "m", "bound")]
         lam = supplied.pop("lam", None)
         if lam is not None:
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
             supplied["lambda"] = list(lam.parts)  # as in the grids
         _check_caps(args, dims=dims,
                     N=supplied.get("N", supplied.get("N_max")),
-                    box=None if None in box else box,
+                    word_len=supplied.get("n"),
                     n_max=None if lam is None
                     else supplied.get("n_max", lam.size()),
-                    box_pairs=args.name == "superadditivity",
-                    matrices=matrices)
+                    work=(f"verify {args.name} (checks.WORK)",
+                          lambda: work(args.name, supplied)))
         results = [_run_entry({"check": args.name, "params": supplied})]
     passed = total = 0
     for r in results:

@@ -1,6 +1,7 @@
 """The named identity checks and the suite runner."""
 
 import hashlib
+import inspect
 import sys
 from collections import Counter
 from itertools import compress, zip_longest
@@ -618,3 +619,64 @@ class TestSuite:
     def test_nonpositive_workers_rejected(self, capsys, workers):
         assert main(["verify", "all", "--workers", workers]) == 2
         assert "--workers" in capsys.readouterr().err
+
+
+class TestWorkModels:
+    # objects each enumerated item builds, in the models' units
+    UNITS = {"pp_box": 1, "pp_shape": 1,
+             "matrices_weighted": checks.PER_MATRIX, "gen_words": 3}
+    # the checks whose model is exactly the units of what they enumerate
+    EXACT = {"macmahon_box", "infinite_volume", "qschur", "multivariate",
+             "uh_des", "equidistribution", "uh_restricted", "corner_volume",
+             "greene"}
+
+    def test_models_take_the_checks_parameters(self):
+        def params(fn):
+            return [(p.name, p.default)
+                    for p in inspect.signature(fn).parameters.values()]
+
+        assert set(checks.WORK) == set(CHECKS)
+        for name, model in checks.WORK.items():
+            assert params(model) == params(CHECKS[name]), name
+
+    @pytest.mark.parametrize("entry", load_grids()["small"],
+                             ids=lambda e: e["check"])
+    def test_model_bounds_the_enumeration(self, monkeypatch, entry):
+        built = Counter()
+
+        def pp_box(*args, _kernel=kernels.pp_box):
+            for rows in _kernel(*args):
+                built["pp_box"] += 1
+                yield rows
+
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                items = list(kernel(*args, **kwargs))
+                built[name] += len(items)
+                return items
+            return wrapper
+
+        monkeypatch.setattr(kernels, "pp_box", pp_box)
+        for name in ("pp_shape", "matrices_weighted"):
+            monkeypatch.setattr(kernels, name,
+                                counted(name, getattr(kernels, name)))
+        monkeypatch.setattr(checks, "gen_words",
+                            counted("gen_words", checks.gen_words))
+        assert _run_entry(entry).passed
+        units = sum(self.UNITS[name] * count for name, count in built.items())
+        model = checks.work(entry["check"], entry["params"])
+        if entry["check"] in self.EXACT:
+            assert model == units, built
+        else:
+            assert model >= units, built
+
+    def test_corner_volume_enumerates_one_box(self, monkeypatch):
+        boxes = []
+
+        def pp_box(k, n, m, max_volume=None, _kernel=kernels.pp_box):
+            boxes.append((k, n, m))
+            return _kernel(k, n, m, max_volume)
+
+        monkeypatch.setattr(kernels, "pp_box", pp_box)
+        assert check_corner_volume(2, 2, 3, 5).passed
+        assert boxes == [(2, 2, 3)]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ppbij.checks import CHECKS
+from ppbij import cli
+from ppbij.checks import CHECKS, CheckResult, load_grids
 from ppbij.cli import main
 
 GOLDEN_PP = "[[4,4,2],[4,2,1],[2,2]]"
@@ -153,6 +154,13 @@ class TestEnumerate:
         # multivariate enumerates every 5x5 matrix of entry sum <= 7:
         # C(32, 7) = 3,365,856 of them
         ["verify", "multivariate", "--n", "5", "--m", "5", "--N", "12"],
+        # 453,619 matrices of sum(l * d[i][l]) <= 13
+        ["verify", "corner_volume", "--k", "1", "--n", "5", "--m", "5",
+         "--N", "12"],
+        # the 4x4 matrices of entry sum <= 12: C(28, 12) = 30,421,755
+        ["verify", "dalpha", "--k", "4", "--n", "4", "--m", "4", "--N", "12"],
+        # the matrices of column sums (3, 3, 3, 3): 35^4 = 1,500,625
+        ["dalpha", "--alpha", "3,3,3,3", "--n", "5", "--m", "4"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -240,6 +248,29 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "gexp", "--shape", shape)
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("entry", [
+        e for level in ("small", "full") for e in load_grids()[level]],
+        ids=lambda e: e["check"])
+    def test_caps_admit_every_grid_entry(self, capsys, monkeypatch, entry):
+        flags = {"lambda": "--shape", "N_max": "--N", "n_max": "--N"}
+        argv = ["verify", entry["check"]]
+        for key, value in entry["params"].items():
+            if key != "scales":  # no flag sets it
+                if isinstance(value, list):
+                    value = ",".join(map(str, value))
+                argv += [flags.get(key, f"--{key}"), str(value)]
+        ran = []
+
+        def stub(e):
+            ran.append(e)
+            return CheckResult(e["check"], e["params"], True, "", "", None,
+                               0.0)
+
+        monkeypatch.setattr(cli, "_run_entry", stub)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(ran) == 1
 
     def test_raising_check_is_a_fail_record(self, capsys, monkeypatch):
         # one check, like verify all, reports an exception as a FAIL
