@@ -644,11 +644,6 @@ class TestWorkModels:
     def test_model_bounds_the_enumeration(self, monkeypatch, entry):
         built = Counter()
 
-        def pp_box(*args, _kernel=kernels.pp_box):
-            for rows in _kernel(*args):
-                built["pp_box"] += 1
-                yield rows
-
         def counted(name, kernel):
             def wrapper(*args, **kwargs):
                 items = list(kernel(*args, **kwargs))
@@ -656,8 +651,7 @@ class TestWorkModels:
                 return items
             return wrapper
 
-        monkeypatch.setattr(kernels, "pp_box", pp_box)
-        for name in ("pp_shape", "matrices_weighted"):
+        for name in ("pp_box", "pp_shape", "matrices_weighted"):
             monkeypatch.setattr(kernels, name,
                                 counted(name, getattr(kernels, name)))
         monkeypatch.setattr(checks, "gen_words",
