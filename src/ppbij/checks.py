@@ -35,7 +35,7 @@ from .bijection import greene_shape, phi, phi_inverse, \
 from .core import NMatrix, Partition
 from .enumeration import column_strict_contents, compositions, \
     count_D_alpha, dominates, f_lambda, gen_matrix_images, \
-    gen_partitions_in_box, gen_pp_box, gen_words, skew_schur_ones
+    gen_partitions_in_box, gen_pp_box, gen_words
 from .poly import MultiPoly, Truncation, VarTable, format_monomial, \
     product_series
 from .symfun import descent_monomial, family_vars, g_combinatorial, \
@@ -483,12 +483,14 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
     t0 = time.perf_counter()
     D = Counter(pp.column_counts(m) for pp in gen_pp_box(k, n, m))
 
-    # D_alpha = sum over lam inside rho of K_{lam,alpha} s_{rho/lam}(1^n),
-    # for every alpha at once: one content tally and one skew count per lam
-    rho = Partition.rectangle(k, n)
+    # D_alpha = sum over lam inside rho = (k^n) of K_{lam,alpha}
+    # s_{rho/lam}(1^n), for every alpha at once: one content tally and one
+    # skew count per lam.  rho/lam turned a half turn is the straight shape
+    # rest, so s_{rho/lam}(1^n) counts the column-strict fillings of rest
     expansion: Counter[tuple[int, ...]] = Counter()
     for lam in gen_partitions_in_box(k, n):
-        skew = skew_schur_ones(rho, lam, n)
+        rest = Partition(k - lam.part(i) for i in range(n, 0, -1))
+        skew = sum(column_strict_contents(rest, n).values())
         for content, count in column_strict_contents(lam, m).items():
             expansion[content] += count * skew
     sym_fail = mono_fail = kostka_fail = product_fail = chain_fail = 0
@@ -657,9 +659,10 @@ def _hook(i: int, l: int) -> int:
 
 
 def _strict_rows(lam: Partition, n: int) -> int:
-    """The rows that gen_strict_tableaux(lam, n) lists, estimated as all
-    C(n + lam_1, lam_1) weakly decreasing rows under (n^lam_1) for each
-    row of lam; none unless lam_1 <= n <= |lam|.
+    """The row allowance of gen_strict_tableaux(lam, n): for each row of
+    lam, the C(n + lam_1, lam_1) weakly decreasing rows of at most lam_1
+    entries <= n, a bound on every list of strictly decreasing rows that
+    kernels.strict_rows returns for it; none unless lam_1 <= n <= |lam|.
     """
     if not lam.part(1) <= n <= lam.size():
         return 0
@@ -690,10 +693,10 @@ def _gexp_work(lam: Partition, n_max: int | None = None) -> int:
 
 def _dalpha_work(k: int, n: int, m: int, N_max: int) -> int:
     # the box tally; the column-strict fillings of the shapes inside rho,
-    # at most the box; the skew fillings of rho/lam with entries <= n, at
-    # most the k x n x n box; the matrices of column sums alpha over every
-    # alpha, which are the n x m matrices of entry sum <= N_max; and the
-    # pairs of contents of each weight
+    # at most the box; the column-strict fillings of their complements in
+    # rho with entries <= n, at most the k x n x n box; the matrices of
+    # column sums alpha over every alpha, which are the n x m matrices of
+    # entry sum <= N_max; and the pairs of contents of each weight
     return (2 * _box(k, n, m) + _box(k, n, n)
             + PER_MATRIX * _window(n, m, N_max)
             + sum(_multisets(m, w) ** 2 for w in range(N_max + 1)))
@@ -712,8 +715,9 @@ def _superadditivity_work(k: int, n: int, m: int,
 def _fillings_work(width: int, n: int, m: int) -> int:
     # the fillings with entries <= m of the shapes in a width x n box are
     # the plane partitions of the width x n x m box, and each builds a
-    # plane partition and its statistic; the filling kernel visits every
-    # cell of every shape, C(width + n, n) * width * n / 2 cells in all
+    # plane partition and its statistic; the filling kernel also makes one
+    # pass per row of every shape, at most one per cell,
+    # C(width + n, n) * width * n / 2 cells in all
     return 2 * _box(width, n, m) + math.comb(width + n, n) * width * n // 2
 
 

@@ -7,11 +7,12 @@ All output is deterministic for fixed inputs: the generating polynomial
 of `enumerate --gf` prints in ascending degree and JSON keys are emitted
 in a fixed order.
 
-Size caps: `verify NAME`, `enumerate box|shape|words`, `map inv` and
-`dalpha` count the objects they would build, before building any, and
-refuse more than CAP_WORK of them; `verify NAME` takes the count from
-the check's model in `checks.WORK`.  Each parameter is capped too, so
-that the count stays cheap to work out.
+Size caps: `verify NAME`, `enumerate`, `map inv` and `dalpha` count the
+objects they would build, and `map phi`, `stats` and `greene` the
+entries they would print, before building any, and refuse more than
+CAP_WORK of them; `verify NAME` takes the count from the check's model
+in `checks.WORK`.  Each parameter is capped too, so that the count stays
+cheap to work out.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ CAP_BOX = 5
 CAP_N = 12
 CAP_WORD = 10
 CAP_GEXP_N = 8
-# One work cap over the objects a command builds: `checks.WORK` for
-# `verify NAME`, its own count for each other command.  It admits the
-# 5^8 words of `enumerate words --n 8 --m 5`.  A unit costs 1-25 us, so
-# an admitted command runs for at most about 8 s.
+# One work cap over the objects a command builds or the entries it
+# prints: `checks.WORK` for `verify NAME`, its own count for each other
+# command.  It admits the 5^8 words of `enumerate words --n 8 --m 5`.
+# A unit costs 1-25 us, so an admitted command runs for at most about
+# 8 s.
 CAP_WORK = 400_000
 
 
@@ -161,6 +163,8 @@ def cmd_map(args) -> int:
         pp = _parse_pp(_read_input(args, "pp"))
         if args.n is None or args.m is None:
             raise UsageError("map phi needs --n and --m")
+        _check_caps(args, work=("the n x m count matrix (its entries)",
+                                lambda: max(args.n, 0) * max(args.m, 0)))
         try:
             D = phi(pp, args.n, args.m)
         except ValueError as exc:
@@ -197,6 +201,7 @@ def cmd_stats(args) -> int:
     m = args.m if args.m is not None else pp.max_entry()
     if m < pp.max_entry():
         raise DomainError("entry exceeds --m")
+    _check_caps(args, work=("the column counts (m of them)", lambda: m))
     table = [
         ("shape", list(pp.shape().parts)),
         ("volume", pp.volume()),
@@ -245,8 +250,14 @@ def cmd_enumerate(args) -> int:
         if args.shape is None or args.n is None:
             raise UsageError("enumerate st needs --shape and --n")
         lam = _parse_shape(args.shape)
+        # the word map sends the words over [len(lam)] onto the strict
+        # tableaux of at most len(lam) rows, so lam has at most
+        # len(lam)^n of them
         _check_caps(args, dims=[("shape rows", len(lam)),
-                                ("shape width", lam.part(1))], N=args.n)
+                                ("shape width", lam.part(1))], N=args.n,
+                    work=(f"the strict tableaux of shape {lam.parts} (at "
+                          f"most {len(lam)}^{args.n})",
+                          lambda: len(lam) ** args.n))
         items = gen_strict_tableaux(lam, args.n)
     elif args.family == "words":
         if args.n is None or args.m is None:
@@ -322,7 +333,9 @@ def cmd_greene(args) -> int:
         w = Word.from_digits(args.w, args.m)
     except ValueError as exc:
         raise UsageError(f"bad word: {exc}") from None
-    _check_caps(args, word_len=len(w))
+    _check_caps(args, word_len=len(w),
+                work=("the tail lengths L_1..L_m (m of them)",
+                      lambda: w.m))
     shape = list(greene_shape(w).parts)
     # the shape is (L_m, ..., L_1) with its trailing zeros trimmed
     tails = shape + [0] * (w.m - len(shape))

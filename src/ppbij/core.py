@@ -23,8 +23,7 @@ class Cell(NamedTuple):
 class Partition:
     """A weakly decreasing sequence of positive integers.
 
-    The empty partition is allowed and is the identity for containment
-    questions.  Trailing zeros are never stored.
+    The empty partition is allowed.  Trailing zeros are never stored.
     """
 
     __slots__ = ("parts",)
@@ -75,10 +74,6 @@ class Partition:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
-
-    def contains(self, other: "Partition") -> bool:
-        """Young-diagram containment: other fits inside self."""
-        return all(other.part(i) <= self.part(i) for i in range(1, len(other) + 1))
 
     @staticmethod
     def rectangle(k: int, n: int) -> "Partition":

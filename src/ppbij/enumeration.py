@@ -1,11 +1,14 @@
 """Exhaustive generators for the combinatorial families (boxed plane
 partitions, fillings of a fixed shape, inverse-map images of weighted
 matrix windows, words, strict tableaux) and exact counters built on them
-(content tallies, skew Schur evaluations at all-ones, descent
-enumeration counts).
+(content tallies, descent enumeration counts).
 
-All generators are deterministic: depth-first in lexicographic order of a
-canonical encoding, so golden tests on listings are order-stable.
+All generators are deterministic: each lists its family in a fixed
+lexicographic order of a canonical encoding, so golden tests on listings
+are order-stable.  Partitions in a box, words and the rows of shape
+fillings and strict tableaux come from itertools (combinations and
+products); the box and strict-tableau generators walk their rows
+depth-first.
 
 The box, shape and strict-tableau generators wrap kernel rows with the
 trusted `PlanePartition._from_rows` instead of validating each member
@@ -34,20 +37,8 @@ def gen_partitions_in_box(k: int, n: int) -> Iterator[Partition]:
 
     Yields C(k+n, n) partitions, the empty one first.
     """
-    parts: list[int] = []
-
-    def recurse(cap: int):
-        yield Partition(parts)
-        if len(parts) < n:
-            for v in range(1, cap + 1):
-                parts.append(v)
-                yield from recurse(v)
-                parts.pop()
-
-    try:
-        yield from recurse(k)
-    finally:
-        del recurse  # the closure refers to itself; free it by refcount
+    for parts in itertools.combinations_with_replacement(range(k + 1), n):
+        yield Partition(reversed(parts))
 
 
 def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
@@ -111,12 +102,12 @@ def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
     """All strict tableaux of shape lam with filling [n]: each value
     1..n occupies exactly one column.
 
-    Built row by row: each row is drawn from the row kernel
-    (`kernels.row_candidates`) under the row above, kept only if its
-    entries strictly decrease and every value stays in the column it
-    already holds, and a branch is cut once fewer cells remain than
-    values still unplaced.  The order is that of filtering all fillings
-    of lam (`gen_pp_shape`) for strict tableaux: rows in decreasing
+    Built row by row: each row is one of the strictly decreasing rows
+    under the row above (`kernels.strict_rows`, listed once per bounding
+    row), kept only if every value stays in the column it already holds,
+    and a branch is cut once fewer cells remain than values still
+    unplaced.  The order is that of filtering all fillings of lam
+    (`gen_pp_shape`) for strict tableaux: rows in decreasing
     lexicographic order, depth-first from the top row.
     """
     if lam and not lam.part(1) <= n <= lam.size():
@@ -124,6 +115,7 @@ def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
     shape = lam.parts
     column = [0] * (n + 1)  # column (1-based) of each value, 0 if unplaced
     rows: list[tuple[int, ...]] = []
+    under: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def fill(i: int, cells_left: int, unplaced: int):
         if i == len(shape):
@@ -133,13 +125,12 @@ def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
         width = shape[i]
         cells_left -= width
         bounds = rows[-1][:width] if rows else (n,) * width
-        for row in reversed(kernels.row_candidates(bounds, n * width)):
-            if len(row) != width:
-                continue
+        cands = under.get(bounds)
+        if cands is None:
+            cands = under[bounds] = kernels.strict_rows(bounds)
+        for row in cands:
             placed = []
             for j, v in enumerate(row, 1):
-                if j > 1 and v == row[j - 2]:
-                    break
                 if column[v] == 0:
                     placed.append((v, j))
                 elif column[v] != j:
@@ -176,41 +167,6 @@ def column_strict_contents(lam: Partition, m: int) -> Counter[tuple[int, ...]]:
         entries = Counter(itertools.chain.from_iterable(pp.rows))
         contents[tuple(entries[v] for v in range(1, m + 1))] += 1
     return contents
-
-
-def skew_schur_ones(outer: Partition, inner: Partition, n: int) -> int:
-    """The skew Schur evaluation s_{outer/inner}(1^n): the number of
-    column-strict fillings of the skew diagram with entries <= n.
-    """
-    if not outer.contains(inner):
-        raise ValueError("inner shape not contained in outer")
-    cells = [(i, j)
-             for i in range(1, len(outer) + 1)
-             for j in range(inner.part(i) + 1, outer.part(i) + 1)]
-    if not cells:
-        return 1
-    grid: dict[tuple[int, int], int] = {}
-    count = 0
-
-    def fill(pos: int) -> None:
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        i, j = cells[pos]
-        hi = n
-        if (i, j - 1) in grid:
-            hi = min(hi, grid[(i, j - 1)])
-        if (i - 1, j) in grid:
-            hi = min(hi, grid[(i - 1, j)] - 1)
-        for v in range(1, hi + 1):
-            grid[(i, j)] = v
-            fill(pos + 1)
-        grid.pop((i, j), None)
-
-    fill(0)
-    del fill  # the closure refers to itself; free `grid` by refcount
-    return count
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

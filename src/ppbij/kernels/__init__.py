@@ -5,7 +5,8 @@ package re-exports it.  BACKEND names it for the run headers.
 """
 
 from ._pure import BACKEND, lis_tail, lis_tails, matrices_weighted, \
-    phi_inverse_rows, pp_box, pp_shape, row_candidates, word_tableau_rows
+    phi_inverse_rows, pp_box, pp_shape, row_candidates, strict_rows, \
+    word_tableau_rows
 
 __all__ = [
     "BACKEND",
@@ -16,5 +17,6 @@ __all__ = [
     "pp_box",
     "pp_shape",
     "row_candidates",
+    "strict_rows",
     "word_tableau_rows",
 ]

@@ -6,6 +6,9 @@ no value objects.  Wrapping into the value types of ppbij.core happens in
 the calling modules.
 """
 
+from itertools import combinations, combinations_with_replacement
+from operator import le
+
 BACKEND = "pure"
 
 
@@ -83,38 +86,42 @@ def pp_shape(shape, m, strict=False):
     """All fillings of the Young diagram `shape` with entries in [1, m],
     weakly decreasing along rows and (strictly, if strict) down columns.
 
-    Returns row-tuples in deterministic depth-first order; cells are
-    filled row-major.
+    Returns row-tuples in deterministic depth-first order: rows in
+    decreasing lexicographic order, from the top row down.  Built a whole
+    row at a time: each filling of the rows so far is extended by every
+    row that fits under its last row.  Those rows are listed once per
+    bounding row from combinations_with_replacement, one less under each
+    entry if strict.
     """
-    shape = tuple(shape)
-    if not shape:
-        return [()]
     if strict and len(shape) > m:
         return []
-    n_rows = len(shape)
-    grid = [[0] * shape[i] for i in range(n_rows)]
-    results = []
+    drop = 1 if strict else 0
+    fillings = [()]
+    for width in shape:
+        under = {}  # bounding row -> the rows that fit under it
+        grown = []
+        for rows in fillings:
+            # the top row lies under (m, ..., m) once the drop is taken
+            above = rows[-1] if rows else (m + drop,) * width
+            cands = under.get(above)
+            if cands is None:
+                bounds = [v - drop for v in above[:width]]
+                cands = under[above] = [
+                    row for row in combinations_with_replacement(
+                        range(bounds[0], 0, -1), width)
+                    if all(map(le, row, bounds))]
+            grown += [rows + (row,) for row in cands]
+        fillings = grown
+    return fillings
 
-    def fill(i, j):
-        if i == n_rows:
-            results.append(tuple(tuple(r) for r in grid))
-            return
-        ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
-        hi = m
-        if j > 0:
-            hi = min(hi, grid[i][j - 1])
-        if i > 0 and j < shape[i - 1]:
-            above = grid[i - 1][j]
-            hi = min(hi, above - 1 if strict else above)
-        lo = 1
-        for v in range(hi, lo - 1, -1):
-            grid[i][j] = v
-            fill(ni, nj)
-        grid[i][j] = 0
 
-    fill(0, 0)
-    del fill  # the closure refers to itself; free `results` by refcount
-    return results
+def strict_rows(bounds):
+    """All strictly decreasing positive rows r of width len(bounds) with
+    r[j] <= bounds[j], in decreasing lexicographic order.
+    """
+    return [row for row in combinations(range(max(bounds, default=0), 0, -1),
+                                        len(bounds))
+            if all(map(le, row, bounds))]
 
 
 def matrices_weighted(n, m, weights, bound):

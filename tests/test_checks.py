@@ -10,6 +10,7 @@ from operator import add, ge
 import pytest
 
 from ppbij import checks, kernels
+from ppbij.kernels import _pure
 from ppbij.bijection import phi, phi_inverse, strict_tableau_to_word
 from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     check_cauchy_type, check_corner_volume, check_dalpha, \
@@ -619,6 +620,45 @@ class TestSuite:
     def test_nonpositive_workers_rejected(self, capsys, workers):
         assert main(["verify", "all", "--workers", workers]) == 2
         assert "--workers" in capsys.readouterr().err
+
+
+class TestDisjointRowKernels:
+    """pp_box is the only caller of kernels.row_candidates: the shape
+    fillings (kernels.pp_shape) and the strict-tableau rows
+    (kernels.strict_rows) that gexp, gl, cauchy_type, frobenius and the
+    Kostka/skew-Schur side of dalpha read list their rows without it.
+    """
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls = []
+        row_candidates = _pure.row_candidates
+
+        def recording(bounds, max_sum):
+            calls.append((bounds, max_sum))
+            return row_candidates(bounds, max_sum)
+
+        # the kernels' own calls, and those through the package
+        monkeypatch.setattr(_pure, "row_candidates", recording)
+        monkeypatch.setattr(kernels, "row_candidates", recording)
+        return calls
+
+    @pytest.mark.parametrize("entry", [
+        e for e in load_grids()["small"]
+        if e["check"] in ("gexp", "gl", "cauchy_type", "frobenius")],
+        ids=lambda e: e["check"])
+    def test_fillings_list_no_box_rows(self, monkeypatch, entry):
+        calls = self.recorded(monkeypatch)
+        assert _run_entry(entry).passed
+        assert calls == []
+
+    def test_dalpha_lists_the_box_rows_only(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        list(kernels.pp_box(2, 2, 2))
+        box = calls[:]
+        del calls[:]
+        assert check_dalpha(2, 2, 2, 2).passed
+        assert calls == box != []
 
 
 class TestWorkModels:

@@ -1,6 +1,7 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -161,6 +162,12 @@ class TestEnumerate:
         ["verify", "dalpha", "--k", "4", "--n", "4", "--m", "4", "--N", "12"],
         # the matrices of column sums (3, 3, 3, 3): 35^4 = 1,500,625
         ["dalpha", "--alpha", "3,3,3,3", "--n", "5", "--m", "4"],
+        # a shape has at most len(lam)^n strict tableaux: 3^12, 5^10,
+        # 4^12 and 5^12 (2.4 s, 3.3 s and over 20 s twice, uncapped)
+        ["enumerate", "st", "--shape", "5,5,5", "--n", "12"],
+        ["enumerate", "st", "--shape", "5,5,5,5,5", "--n", "10"],
+        ["enumerate", "st", "--shape", "5,5,5,5", "--n", "12"],
+        ["enumerate", "st", "--shape", "5,5,5,5,5", "--n", "12"],
     ])
     def test_box_size_cap(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -189,6 +196,29 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "box", "6", "1", "1",
                            "--unsafe-no-caps")
         assert code == 0 and out.strip() == "7"
+
+
+class TestPrintedEntryCaps:
+    """map phi prints an n x m matrix, stats m column counts and greene
+    m tail lengths: each count is capped before anything is built.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--pp", "[[1]]", "--m", "1000000000"],
+        ["greene", "--w", "1", "--m", "1000000000"],
+        ["map", "phi", "--pp", "[[1]]", "--n", "1", "--m", "1000000000"],
+        ["map", "phi", "--pp", "[[1]]", "--n", "1000000000", "--m", "1"],
+    ])
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "cap" in err
+
+    def test_stats_caps_the_largest_entry(self, capsys):
+        # without --m the column counts run up to the largest entry
+        code, _, err = run(capsys, "stats", "--pp", "[[1000000000]]")
+        assert code == 2 and "cap" in err
 
 
 class TestDalpha:

@@ -41,11 +41,6 @@ class TestPartition:
         lam = Partition([4, 4, 2, 1])
         assert lam.conjugate().conjugate() == lam
 
-    def test_contains(self):
-        assert Partition([3, 2]).contains(Partition([2, 2]))
-        assert not Partition([3, 2]).contains(Partition([1, 1, 1]))
-        assert Partition([1]).contains(Partition())
-
     def test_rectangle(self):
         assert Partition.rectangle(3, 2) == Partition([3, 3])
         assert Partition.rectangle(0, 4) == Partition()

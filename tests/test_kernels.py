@@ -1,12 +1,13 @@
-"""The kernel package's exports, the box kernel, the inverse map's
-insertion and the kernel loads the benchmark times.
+"""The kernel package's exports, the box and shape kernels, the strict
+rows, the inverse map's insertion and the kernel loads the benchmark
+times.
 """
 
 import gc
 import importlib.util
 import inspect
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,40 @@ def pp_box_reference(k, n, m, max_volume=None):
             rows.pop()
 
     recurse(max_volume)
+    return results
+
+
+def pp_shape_reference(shape, m, strict=False):
+    """The cell-by-cell shape kernel the row-at-a-time one replaced, kept
+    as a reference: one recursive call per cell, row-major, each cell
+    taking every value from its bound down to 1.
+    """
+    shape = tuple(shape)
+    if not shape:
+        return [()]
+    if strict and len(shape) > m:
+        return []
+    n_rows = len(shape)
+    grid = [[0] * shape[i] for i in range(n_rows)]
+    results = []
+
+    def fill(i, j):
+        if i == n_rows:
+            results.append(tuple(tuple(r) for r in grid))
+            return
+        ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
+        hi = m
+        if j > 0:
+            hi = min(hi, grid[i][j - 1])
+        if i > 0 and j < shape[i - 1]:
+            above = grid[i - 1][j]
+            hi = min(hi, above - 1 if strict else above)
+        for v in range(hi, 0, -1):
+            grid[i][j] = v
+            fill(ni, nj)
+        grid[i][j] = 0
+
+    fill(0, 0)
     return results
 
 
@@ -137,7 +172,7 @@ def count_matrices(draw, max_dim=8, max_entry=3):
 class TestSelection:
     def test_backend_reexports(self):
         assert kernels.BACKEND == "pure"
-        for name in ("row_candidates", "pp_box", "pp_shape",
+        for name in ("row_candidates", "pp_box", "pp_shape", "strict_rows",
                      "matrices_weighted", "phi_inverse_rows",
                      "word_tableau_rows", "lis_tail", "lis_tails"):
             assert hasattr(kernels, name)
@@ -155,6 +190,31 @@ def test_list_kernels_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class TestShapeKernel:
+    def test_matches_reference_in_order(self):
+        # every shape in the 3x3 box, the empty one included
+        shapes = [()] + [
+            tuple(reversed(c)) for n in range(1, 4)
+            for c in combinations_with_replacement(range(1, 4), n)]
+        for shape, m, strict in product(shapes, range(5), (False, True)):
+            assert kernels.pp_shape(shape, m, strict) == \
+                pp_shape_reference(shape, m, strict), (shape, m, strict)
+
+
+class TestStrictRows:
+    def test_matches_filtered_product(self):
+        # every bounding row of width up to 4 with entries up to 4, in
+        # any order; the empty bounds have the one empty row
+        for width in range(5):
+            for bounds in product(range(5), repeat=width):
+                expected = sorted(
+                    (row for row in product(range(1, 5), repeat=width)
+                     if all(a > b for a, b in zip(row, row[1:]))
+                     and all(v <= b for v, b in zip(row, bounds))),
+                    reverse=True)
+                assert kernels.strict_rows(bounds) == expected, bounds
 
 
 class TestBoxKernel:
