@@ -19,12 +19,21 @@ def phi(pp: PlanePartition, n: int, m: int) -> NMatrix:
     for row, values in zip(counts, pp._descent_rows()):
         for v in values:
             row[v - 1] += 1
-    return NMatrix(counts, n, m)
+    # n x m counts of a validated plane partition's descents: nonnegative
+    # by construction, so wrapped without a second check
+    return NMatrix._from_entries(tuple(map(tuple, counts)), n, m)
 
 
 def phi_inverse(D: NMatrix) -> PlanePartition:
     """The inverse map: the unique plane partition with at most n rows and
     entries <= m whose descent-level-count matrix is D.
+
+    The image is validated, not wrapped, like the images of
+    `enumeration.gen_matrix_images`, which come from the same kernel:
+    wrapped unchecked, those let a kernel that writes every cell one
+    level low pass `check_multivariate`.  A check that compares the
+    images with a direct tally (ROADMAP item 4, the labelled
+    bijectivity comparison) is what would let this validation go.
     """
     return PlanePartition(kernels.phi_inverse_rows(D.entries, D.n_rows, D.n_cols))
 
@@ -53,6 +62,12 @@ def word_to_strict_tableau(w: Word) -> PlanePartition:
     """The strict tableau with filling [n] associated to a word of
     length n: the inverse map applied to the word's m x n 0/1 matrix,
     whose column p holds a single 1 at row w_p.
+
+    The tableau is validated, not wrapped: wrapped unchecked, a kernel
+    that writes every cell one level low passes `check_frobenius` and
+    `check_greene`, and only the constructor rejects its rows.  ROADMAP
+    item 4's labelled bijectivity comparison is what would let this
+    validation go.
     """
     return PlanePartition(kernels.word_tableau_rows(w.letters))
 
@@ -80,7 +95,9 @@ def strict_tableau_to_word(pp: PlanePartition, m: int) -> Word:
     for i, row in enumerate(pp.rows, 1):
         for v in row:
             letters[v - 1] = i  # rows run downwards, so the deepest wins
-    return Word(letters, m)
+    # every value 1..n is placed in a row 1..n_rows <= m, so the letters
+    # are in range by construction
+    return Word._from_letters(tuple(letters), m)
 
 
 def greene_shape(w: Word) -> Partition:

@@ -4,12 +4,22 @@ All indices are 1-based (row i, column j, value level l); conversion to
 0-based happens only inside implementations and at the JSON boundary.
 All types are immutable and hashable, so they can be used freely as set
 elements and dictionary keys during exhaustive enumeration.
+
+Validation is a boundary.  The public constructors check their input
+with builtin passes and convert each entry with `operator.index`, so a
+float or a numeric string raises TypeError instead of being truncated.
+Values computed from an already validated value are wrapped without a
+second check by private classmethods: `PlanePartition._from_rows` (the
+box, shape and strict-tableau generators), `Partition._from_parts`
+(`PlanePartition.shape`), `NMatrix._from_entries` (`bijection.phi`'s
+count matrix) and `Word._from_letters` (`bijection.strict_tableau_to_word`).
+The inverse-map images stay validated; see `bijection.phi_inverse`.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, zip_longest
-from operator import gt, lt, mul
+from operator import gt, index, lt, mul
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -29,14 +39,24 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(map(int, parts))
+        parts = tuple(map(index, parts))
         if 0 in parts:
-            parts = tuple(p for p in parts if p)
+            parts = tuple(filter(None, parts))
         if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError("parts must be positive")
         self.parts = parts
+
+    @classmethod
+    def _from_parts(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap parts computed from a validated value without checking
+        them again: `parts` must already be a tuple of positive ints in
+        weakly decreasing order.  Public input goes through __init__.
+        """
+        lam = object.__new__(cls)
+        lam.parts = parts
+        return lam
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -93,18 +113,27 @@ class PlanePartition:
     __slots__ = ("rows", "_walk")
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        raw = [tuple(map(int, row)) for row in rows]
+        raw = [tuple(map(index, row)) for row in rows]
         trimmed = []
+        unsorted = False
         for row in raw:
-            if row and min(row) < 0:
-                raise ValueError("entries must be nonnegative")
-            n = len(row)
-            while n > 0 and row[n - 1] == 0:
-                n -= 1
-            if n < len(row):
+            if any(map(lt, row, row[1:])):
+                # a weakly decreasing row can go wrong only at its end (a
+                # negative entry, or zeros to trim), so only a row that
+                # increases somewhere is checked entry by entry
+                if min(row) < 0:
+                    raise ValueError("entries must be nonnegative")
+                n = len(row)
+                while row[n - 1] == 0:
+                    n -= 1
                 row = row[:n]
-            if 0 in row:
-                raise ValueError("zero entry inside a row")
+                if 0 in row:
+                    raise ValueError("zero entry inside a row")
+                unsorted = True
+            elif row and row[-1] <= 0:
+                if row[-1] < 0:
+                    raise ValueError("entries must be nonnegative")
+                row = row[:row.index(0)]
             trimmed.append(row)
         while trimmed and not trimmed[-1]:
             trimmed.pop()
@@ -114,9 +143,8 @@ class PlanePartition:
         lengths = list(map(len, rows))
         if any(map(lt, lengths, lengths[1:])):
             raise ValueError("row lengths must weakly decrease")
-        for r in rows:
-            if list(r) != sorted(r, reverse=True):
-                raise ValueError("rows must be weakly decreasing")
+        if unsorted:
+            raise ValueError("rows must be weakly decreasing")
         for upper, lower in zip(rows, rows[1:]):
             if any(map(lt, upper, lower)):
                 raise ValueError("columns must be weakly decreasing")
@@ -155,7 +183,7 @@ class PlanePartition:
     # -- statistics ----------------------------------------------------
 
     def shape(self) -> Partition:
-        return Partition(len(r) for r in self.rows)
+        return Partition._from_parts(tuple(map(len, self.rows)))
 
     def volume(self) -> int:
         return sum(map(sum, self.rows))
@@ -279,7 +307,7 @@ class NMatrix:
 
     def __init__(self, entries: Iterable[Iterable[int]], n_rows: int | None = None,
                  n_cols: int | None = None):
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        rows = tuple([tuple(map(index, row)) for row in entries])
         if n_rows is None:
             n_rows = len(rows)
         if n_cols is None:
@@ -292,6 +320,19 @@ class NMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.entries = rows
+
+    @classmethod
+    def _from_entries(cls, entries: tuple[tuple[int, ...], ...],
+                      n_rows: int, n_cols: int) -> "NMatrix":
+        """Wrap entries computed from a validated value without checking
+        them again: `entries` must already be n_rows tuples of n_cols
+        nonnegative ints.  Public and JSON input goes through __init__.
+        """
+        D = object.__new__(cls)
+        D.n_rows = n_rows
+        D.n_cols = n_cols
+        D.entries = entries
+        return D
 
     def __eq__(self, other) -> bool:
         return (
@@ -325,13 +366,24 @@ class Word:
     __slots__ = ("letters", "m")
 
     def __init__(self, letters: Iterable[int], m: int):
-        letters = tuple(map(int, letters))
+        letters = tuple(map(index, letters))
         if m < 0:
             raise ValueError("alphabet size must be nonnegative")
         if letters and not 1 <= min(letters) <= max(letters) <= m:
             raise ValueError("letter out of alphabet range")
         self.letters = letters
         self.m = m
+
+    @classmethod
+    def _from_letters(cls, letters: tuple[int, ...], m: int) -> "Word":
+        """Wrap letters computed from a validated value without checking
+        them again: `letters` must already be a tuple of ints in 1..m.
+        Public input goes through __init__.
+        """
+        w = object.__new__(cls)
+        w.letters = letters
+        w.m = m
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -13,11 +13,15 @@ depth-first.
 The box, shape and strict-tableau generators wrap kernel rows with the
 trusted `PlanePartition._from_rows` instead of validating each member
 again; the tests compare their output with the validating constructor.
-`gen_matrix_images` validates each inverse-map image: no check compares
-those images with a direct enumeration yet.  It pairs each image with
-its matrix's weighted sum, so that a series check enumerates only its
+`gen_matrix_images` validates each inverse-map image: wrapped unchecked,
+a kernel that writes every cell one level low passes
+`check_multivariate`, and no check compares those images with a direct
+enumeration yet (ROADMAP item 4).  It pairs each image with its
+matrix's weighted sum, so that a series check enumerates only its
 enlarged window and reads the base window off the pairs of weight at
-most the base bound.
+most the base bound.  Words (`gen_words`) and column-sum matrices
+(`gen_matrices_column_sums`) go through the validating `Word` and
+`NMatrix` constructors, which read each entry with `operator.index`.
 """
 
 from __future__ import annotations

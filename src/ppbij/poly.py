@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
 
@@ -121,15 +121,16 @@ class MultiPoly:
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int] = ()):
         self.table = table
+        nvars = table.nvars
         clean = {}
         for exp, coef in dict(terms).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != table.nvars:
+            exp = tuple(map(index, exp))
+            if len(exp) != nvars:
                 raise ValueError("exponent vector has wrong length")
-            if any(e < 0 for e in exp):
+            if exp and min(exp) < 0:
                 raise ValueError("negative exponent")
             if coef:
-                clean[exp] = int(coef)
+                clean[exp] = index(coef)
         self.terms = clean
 
     @classmethod

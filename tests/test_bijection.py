@@ -1,6 +1,7 @@
 """The plane-partition <-> matrix bijection and the word machinery."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from ppbij.bijection import greene_shape, is_strict_tableau, \
     word_to_strict_tableau
 from ppbij.core import Cell, NMatrix, Partition, PlanePartition, Word
 from ppbij.enumeration import gen_pp_box, gen_words
+from ppbij.poly import MultiPoly
 
 GOLDEN_PP = PlanePartition([[4, 4, 2], [4, 2, 1], [2, 2]])
 GOLDEN_MATRIX = NMatrix([[0, 1, 0, 1], [1, 0, 0, 1], [0, 2, 0, 0]])
@@ -164,6 +166,74 @@ class TestWordMaps:
     def test_strict_tableau_to_word_rejects(self):
         with pytest.raises(ValueError, match="not a strict tableau"):
             strict_tableau_to_word(PlanePartition([[1, 1]]), 2)
+
+
+class TestValidationBoundary:
+    """The images of the two inverse maps are validated; the values that
+    phi, strict_tableau_to_word and PlanePartition.shape compute from a
+    validated value are wrapped without a second check.
+    """
+
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        """Counts of the validating constructors' calls, by class name."""
+        calls = Counter()
+        for cls in (Partition, PlanePartition, NMatrix, Word, MultiPoly):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                        **kwargs):
+                calls[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        return calls
+
+    def test_inverse_map_image_is_validated(self, monkeypatch):
+        # rows that are no plane partition raise instead of being wrapped
+        monkeypatch.setattr(kernels, "phi_inverse_rows",
+                            lambda entries, n, m: ((1,), (2,)))
+        with pytest.raises(ValueError, match="columns must be weakly"):
+            phi_inverse(GOLDEN_MATRIX)
+
+    def test_word_map_image_is_validated(self, monkeypatch):
+        monkeypatch.setattr(kernels, "word_tableau_rows",
+                            lambda letters: ((1,), (2,)))
+        with pytest.raises(ValueError, match="columns must be weakly"):
+            word_to_strict_tableau(Word([2, 1], 2))
+
+    def test_round_trips_validate_one_plane_partition(self, inits):
+        matrices = list(gen_matrices(3, 4, 3)) + [GOLDEN_MATRIX]
+        words = list(gen_words(4, 3)) + [Word.from_digits("132434", 4)]
+        for D in matrices:
+            inits.clear()
+            assert phi(phi_inverse(D), D.n_rows, D.n_cols) == D
+            assert inits == {"PlanePartition": 1}
+        for w in words:
+            inits.clear()
+            assert strict_tableau_to_word(
+                word_to_strict_tableau(w), w.m).letters == w.letters
+            assert inits == {"PlanePartition": 1}
+        inits.clear()
+        assert GOLDEN_PP.shape().parts == (3, 3, 2)
+        assert not inits
+
+    @staticmethod
+    def assert_as_validated(value, checked):
+        assert value == checked and checked == value
+        assert hash(value) == hash(checked)
+
+    def test_unchecked_wraps_equal_validated_values(self):
+        for pp in gen_pp_box(3, 3, 3):
+            D = phi(pp, 3, 3)
+            self.assert_as_validated(D, NMatrix(D.entries, 3, 3))
+            lam = pp.shape()
+            self.assert_as_validated(lam, Partition(lam.parts))
+        for m in range(5):
+            for n in range(7):
+                for w in gen_words(n, m):
+                    st = word_to_strict_tableau(w)
+                    back = strict_tableau_to_word(st, m)
+                    self.assert_as_validated(back, Word(back.letters, m))
+                    lam = st.shape()
+                    self.assert_as_validated(lam, Partition(lam.parts))
 
 
 def brute_lis_tail(w: Word, i: int) -> int:

@@ -53,6 +53,23 @@ class TestMap:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize("argv, what", [
+        (["phi", "--pp", "[[2.5, 1]]", "--n", "1", "--m", "3"],
+         "not a plane partition"),
+        (["phi", "--pp", '[[2, "1"]]', "--n", "1", "--m", "3"],
+         "not a plane partition"),
+        (["inv", "--matrix", "[[1.5]]"], "not an N-matrix"),
+        (["inv", "--matrix", '{"rows": 1, "cols": 2, "data": [[1, 2.0]]}'],
+         "not an N-matrix"),
+    ])
+    def test_non_integral_entry_exit_2(self, capsys, argv, what):
+        # entries are read with operator.index: no float or numeric
+        # string is rounded to an integer
+        code, out, err = run(capsys, "map", *argv)
+        assert code == 2
+        assert out == ""
+        assert what in err and "integer" in err
+
     def test_json_roundtrips_schema(self, capsys):
         code, out, _ = run(capsys, "map", "phi", "--pp", GOLDEN_PP,
                            "--n", "3", "--m", "4", "--json")

@@ -1,6 +1,7 @@
 """Value types and the statistics defined on them."""
 
 from itertools import count, product
+from operator import index
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,7 +51,7 @@ def plane_partition_rows_reference(rows):
     """The element-wise validation PlanePartition.__init__ replaced, kept
     as a reference: the stored rows, or ValueError with the same message.
     """
-    raw = [tuple(int(v) for v in row) for row in rows]
+    raw = [tuple(index(v) for v in row) for row in rows]
     trimmed = []
     for row in raw:
         if any(v < 0 for v in row):
@@ -338,7 +339,7 @@ def nmatrix_reference(entries, n_rows=None, n_cols=None):
     """The element-wise validation NMatrix.__init__ replaced, kept as a
     reference: the stored entries, or the same exception.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in entries)
+    rows = tuple(tuple(index(v) for v in row) for row in entries)
     if n_rows is None:
         n_rows = len(rows)
     if n_cols is None:
@@ -354,7 +355,7 @@ def word_reference(letters, m):
     """The element-wise validation Word.__init__ replaced, kept as a
     reference: the stored letters, or the same exception.
     """
-    letters = tuple(int(v) for v in letters)
+    letters = tuple(index(v) for v in letters)
     if m < 0:
         raise ValueError("alphabet size must be nonnegative")
     if any(not 1 <= v <= m for v in letters):

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, truncated series, and determinants."""
 
 import itertools
+from operator import index
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,51 @@ def poly_strategy(table=T2, max_exp=3, max_coef=5):
     exps = st.tuples(*[st.integers(0, max_exp)] * table.nvars)
     return st.dictionaries(exps, st.integers(-max_coef, max_coef), max_size=4) \
         .map(lambda d: MultiPoly(table, d))
+
+
+def multipoly_terms_reference(table, terms):
+    """The per-term validation that MultiPoly.__init__ replaced, kept as
+    a reference: the stored terms, or the same exception.
+    """
+    clean = {}
+    for exp, coef in dict(terms).items():
+        exp = tuple(index(e) for e in exp)
+        if len(exp) != table.nvars:
+            raise ValueError("exponent vector has wrong length")
+        if any(e < 0 for e in exp):
+            raise ValueError("negative exponent")
+        if coef:
+            clean[exp] = index(coef)
+    return clean
+
+
+# mostly small integers and exponent vectors of T2's length, so that
+# acceptance is reached often, with negatives, zeros, non-integral values
+# and vectors of other lengths
+term_values = st.sampled_from(
+    [0, 1, 1, 2, 2, 3, 0, 1, 2, 3, -1, -2, 1.5, 2.0, 0.0, "2", None])
+raw_terms = st.dictionaries(
+    st.tuples(term_values, term_values) |
+    st.lists(term_values, max_size=3).map(tuple),
+    term_values, max_size=3)
+
+
+class TestConstructorMatchesReference:
+    @given(st.sampled_from([T2, VarTable([])]), raw_terms)
+    @settings(max_examples=400, deadline=None)
+    def test_terms(self, table, terms):
+        try:
+            expected = multipoly_terms_reference(table, terms)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                MultiPoly(table, terms)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+        else:
+            got = MultiPoly(table, terms).terms
+            assert got == expected
+            assert all(type(v) is int
+                       for exp, coef in got.items() for v in (*exp, coef))
 
 
 class TestVarTable:
