@@ -33,11 +33,10 @@ from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
     gen_strict_tableaux, gen_words
 
 # Two kinds of caps, lifted by --unsafe-no-caps.  Per-parameter caps
-# keep each work model cheap to evaluate and bound the kernels'
-# recursion depth: box sides, shape rows and widths and --bound up to 5
-# (k is also the size of the Schur determinants), degree windows up to
-# 12, word lengths and the n of `verify` up to 10, and up to 8 variables
-# in gexp (9 take over a minute).
+# keep each work model cheap to evaluate: box sides, shape rows and widths
+# and --bound up to 5 (k is also the size of the Schur determinants),
+# degree windows up to 12, word lengths and the n of `verify` up to 10,
+# and up to 8 variables in gexp (9 take over a minute).
 CAP_BOX = 5
 CAP_N = 12
 CAP_WORD = 10

@@ -402,5 +402,7 @@ class Word:
 
     @staticmethod
     def from_digits(s: str, m: int) -> "Word":
-        """Parse a word from a digit string like '132434'."""
+        """Parse a word from a string of ASCII digits like '132434'."""
+        if not s.isascii():  # int() also reads other scripts' digits
+            raise ValueError("letters must be the ASCII digits 0-9")
         return Word([int(c) for c in s], m)

@@ -5,10 +5,11 @@ matrix windows, words, strict tableaux) and exact counters built on them
 
 All generators are deterministic: each lists its family in a fixed
 lexicographic order of a canonical encoding, so golden tests on listings
-are order-stable.  Partitions in a box, words and the rows of shape
-fillings and strict tableaux come from itertools (combinations and
-products); the box and strict-tableau generators walk their rows
-depth-first.
+are order-stable.  Partitions in a box, words, compositions and the rows
+of shape fillings and strict tableaux come from itertools (combinations
+and products).  No generator recurses: the box generator walks its rows
+depth-first on an explicit stack, and the shape and strict-tableau
+generators extend every partial filling a whole row at a time.
 
 The box, shape and strict-tableau generators wrap kernel rows with the
 trusted `PlanePartition._from_rows` instead of validating each member
@@ -106,54 +107,44 @@ def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
     """All strict tableaux of shape lam with filling [n]: each value
     1..n occupies exactly one column.
 
-    Built row by row: each row is one of the strictly decreasing rows
-    under the row above (`kernels.strict_rows`, listed once per bounding
-    row), kept only if every value stays in the column it already holds,
-    and a branch is cut once fewer cells remain than values still
-    unplaced.  The order is that of filtering all fillings of lam
-    (`gen_pp_shape`) for strict tableaux: rows in decreasing
-    lexicographic order, depth-first from the top row.
+    Built a whole row at a time: each partial tableau, with its own
+    column of each value, grows by every strictly decreasing row under
+    its last row (`kernels.strict_rows`, listed once per bounding row)
+    that keeps each value in the column it holds, unless fewer cells
+    remain than values unplaced.  The order is that of filtering all
+    fillings of lam (`gen_pp_shape`): rows in decreasing lexicographic
+    order, from the top row down.
     """
-    if lam and not lam.part(1) <= n <= lam.size():
+    if not lam.part(1) <= n <= lam.size():
         return
-    shape = lam.parts
-    column = [0] * (n + 1)  # column (1-based) of each value, 0 if unplaced
-    rows: list[tuple[int, ...]] = []
+    # (rows, column (1-based) of each value or 0, values unplaced)
+    partial = [((), [0] * (n + 1), n)]
+    cells_left = lam.size()
     under: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def fill(i: int, cells_left: int, unplaced: int):
-        if i == len(shape):
-            if not unplaced:
-                yield PlanePartition._from_rows(tuple(rows))
-            return
-        width = shape[i]
+    for width in lam.parts:
         cells_left -= width
-        bounds = rows[-1][:width] if rows else (n,) * width
-        cands = under.get(bounds)
-        if cands is None:
-            cands = under[bounds] = kernels.strict_rows(bounds)
-        for row in cands:
-            placed = []
-            for j, v in enumerate(row, 1):
-                if column[v] == 0:
-                    placed.append((v, j))
-                elif column[v] != j:
-                    break
-            else:
-                if cells_left < unplaced - len(placed):
-                    continue
-                for v, j in placed:
-                    column[v] = j
-                rows.append(row)
-                yield from fill(i + 1, cells_left, unplaced - len(placed))
-                rows.pop()
-                for v, _ in placed:
-                    column[v] = 0
-
-    try:
-        yield from fill(0, lam.size(), n)
-    finally:
-        del fill  # the closure refers to itself; free it by refcount
+        grown = []
+        for rows, column, unplaced in partial:
+            bounds = rows[-1][:width] if rows else (n,) * width
+            cands = under.get(bounds)
+            if cands is None:
+                cands = under[bounds] = kernels.strict_rows(bounds)
+            for row in cands:
+                left = unplaced
+                for j, v in enumerate(row, 1):
+                    if column[v] != j:
+                        if column[v]:
+                            break
+                        left -= 1
+                else:
+                    if left <= cells_left:
+                        col = column[:]
+                        for j, v in enumerate(row, 1):
+                            col[v] = j
+                        grown.append((rows + (row,), col, left))
+        partial = grown
+    for rows, _, _ in partial:  # no cell is left, so no value unplaced
+        yield PlanePartition._from_rows(rows)
 
 
 def f_lambda(lam: Partition, n: int) -> int:
@@ -175,15 +166,16 @@ def column_strict_contents(lam: Partition, m: int) -> Counter[tuple[int, ...]]:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative integers summing to
-    `total`, in lexicographic order.
+    `total`, in lexicographic order: stars and bars, the parts being the
+    gaps between 0, parts - 1 weakly increasing cut points and total.
     """
     if parts == 0:
         if total == 0:
             yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    elif total >= 0:
+        for cut in itertools.combinations_with_replacement(
+                range(total + 1), parts - 1):
+            yield tuple(b - a for a, b in itertools.pairwise((0, *cut, total)))
 
 
 def gen_matrices_column_sums(n: int, alpha: Sequence[int]) -> Iterator[NMatrix]:

@@ -17,23 +17,29 @@ def row_candidates(bounds, max_sum):
     and sum(r) <= max_sum, in lexicographic order (shorter prefixes first).
 
     bounds must itself be weakly decreasing.  The empty row is not included.
+    Each next row opens a cell at 1 if one fits, else adds one to the
+    last cell below its cap, clearing the cells after it.
     """
     out = []
     row = []
-
-    def extend(prev, budget):
+    caps = []  # the largest value each cell of row may take
+    left = max_sum  # max_sum - sum(row)
+    cap = min(bounds[0], max_sum) if bounds else 0  # the next cell's cap
+    while True:
+        if cap > 0:
+            row.append(1)
+            caps.append(cap)
+        else:
+            while row and row[-1] == caps[-1]:
+                left += row.pop()
+                caps.pop()
+            if not row:
+                return out
+            row[-1] += 1
+        left -= 1
+        out.append(tuple(row))
         pos = len(row)
-        if pos >= len(bounds):
-            return
-        cap = min(prev, bounds[pos], budget)
-        for v in range(1, cap + 1):
-            row.append(v)
-            out.append(tuple(row))
-            extend(v, budget - v)
-            row.pop()
-    extend(bounds[0] if bounds else 0, max_sum)
-    del extend  # the closure refers to itself; free `out` by refcount
-    return out
+        cap = min(row[-1], bounds[pos], left) if pos < len(bounds) else 0
 
 
 def pp_box(k, n, m, max_volume=None):
@@ -129,30 +135,30 @@ def matrices_weighted(n, m, weights, bound):
     sum(d[i][l] * weights[i][l]) <= bound, as entry row-tuples.
 
     weights is an n x m grid of positive integers (pass all ones for a
-    plain total-sum bound).  Deterministic row-major order.
+    plain total-sum bound).  Deterministic row-major order, from the zero
+    matrix: each next one adds one to the last entry that fits once the
+    entries after it are cleared.
     """
     flat_w = [weights[i][j] for i in range(n) for j in range(m)]
     if any(w <= 0 for w in flat_w):
         raise ValueError("weights must be positive")
-    cells = n * m
-    entries = [0] * cells
+    if bound < 0:
+        return []
+    entries = [0] * len(flat_w)
+    rows = [slice(i * m, (i + 1) * m) for i in range(n)]
+    left = bound  # bound minus the weighted sum of entries
     results = []
-
-    def fill(pos, budget):
-        if pos == cells:
-            results.append(
-                tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(n))
-            )
-            return
-        w = flat_w[pos]
-        for d in range(budget // w + 1):
-            entries[pos] = d
-            fill(pos + 1, budget - d * w)
-        entries[pos] = 0
-
-    fill(0, bound)
-    del fill  # the closure refers to itself; free `results` by refcount
-    return results
+    while True:
+        results.append(tuple([tuple(entries[r]) for r in rows]))
+        pos = len(entries) - 1
+        while pos >= 0 and flat_w[pos] > left:
+            left += entries[pos] * flat_w[pos]
+            entries[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return results
+        entries[pos] += 1
+        left -= flat_w[pos]
 
 
 def phi_inverse_rows(entries, n, m):

@@ -70,6 +70,18 @@ class TestMap:
         assert out == ""
         assert what in err and "integer" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "word", "--m", "3"], ["greene", "--m", "3"]],
+        ids=["map-word", "greene"])
+    @pytest.mark.parametrize("digits", [
+        "\u0661\u0663\u0662", "\uff11\uff13\uff12"],
+        ids=["arabic-indic", "fullwidth"])
+    def test_non_ascii_digits_exit_2(self, capsys, argv, digits):
+        code, out, err = run(capsys, *argv, "--w", digits)
+        assert code == 2
+        assert out == ""
+        assert "bad word" in err and "ASCII digits" in err
+
     def test_json_roundtrips_schema(self, capsys):
         code, out, _ = run(capsys, "map", "phi", "--pp", GOLDEN_PP,
                            "--n", "3", "--m", "4", "--json")
@@ -214,6 +226,12 @@ class TestEnumerate:
                            "--unsafe-no-caps")
         assert code == 0 and out.strip() == "7"
 
+    def test_uncapped_box_past_the_recursion_limit(self, capsys):
+        # a row of 1,200 cells: the row kernel does not recurse per cell
+        code, out, _ = run(capsys, "enumerate", "box", "1200", "1", "1",
+                           "--unsafe-no-caps")
+        assert code == 0 and out.strip() == "1201"
+
 
 class TestPrintedEntryCaps:
     """map phi prints an n x m matrix, stats m column counts and greene
@@ -248,6 +266,13 @@ class TestDalpha:
         code, out, _ = run(capsys, "dalpha", "--alpha", "2,0,0",
                            "--n", "3", "--m", "3")
         assert code == 0 and out.strip() == "6"
+
+    def test_unbounded_past_the_recursion_limit(self, capsys):
+        # the compositions of 1 into 1,100 parts, one per row of the
+        # column-sum matrix, are listed without recursing per part
+        code, out, _ = run(capsys, "dalpha", "--alpha", "1", "--n", "1100",
+                           "--m", "1", "--unsafe-no-caps")
+        assert code == 0 and out.strip() == "1100"
 
     def test_alpha_length_checked(self, capsys):
         code, _, err = run(capsys, "dalpha", "--alpha", "1",

@@ -425,6 +425,14 @@ class TestWord:
         assert w.letters == (1, 3, 2, 4, 3, 4)
         assert len(w) == 6
 
+    @pytest.mark.parametrize("digits", [
+        "\u0661\u0663\u0662", "\uff11\uff13\uff12", "1\u0663"],
+        ids=["arabic-indic", "fullwidth", "mixed"])
+    def test_from_digits_reads_ascii_digits_only(self, digits):
+        # int() reads the decimal digits of every script
+        with pytest.raises(ValueError, match="ASCII digits"):
+            Word.from_digits(digits, 3)
+
     def test_rejects_out_of_alphabet(self):
         with pytest.raises(ValueError):
             Word([1, 5], 4)

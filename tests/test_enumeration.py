@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppbij import kernels
 from ppbij.bijection import is_strict_tableau, phi_inverse
@@ -31,15 +32,17 @@ GENERATORS = [
     ("partitions_in_box", lambda: gen_partitions_in_box(3, 3)),
     ("strict_tableaux", lambda: gen_strict_tableaux(Partition([2, 1]), 3)),
     ("pp_box", lambda: gen_pp_box(2, 2, 2)),
+    ("compositions", lambda: compositions(3, 3)),
+    ("matrices_column_sums", lambda: gen_matrices_column_sums(2, (2, 1))),
 ]
 
 
 @pytest.mark.parametrize("name, make", GENERATORS)
 @pytest.mark.parametrize("early", [False, True])
 def test_generators_leave_no_reference_cycles(name, make, early):
-    # a recursive closure refers to itself, so unless the generator
-    # drops it, its state lives on until the cyclic collector runs,
-    # whether the generator is exhausted or closed after one member
+    # whether exhausted or closed after one member, a generator must
+    # leave no reference cycle, such as a self-referring closure, that
+    # keeps its state alive until the cyclic collector runs
     gc.collect()
     gc.disable()
     try:
@@ -211,6 +214,7 @@ class TestStrictTableaux:
         assert f_lambda(Partition([1]), 1) == 1
         assert f_lambda(Partition(), 0) == 1
         assert f_lambda(Partition(), 2) == 0
+        assert f_lambda(Partition(), -1) == 0
         assert f_lambda(Partition([2]), 1) == 0
 
     def test_matches_filter_in_order(self):
@@ -218,6 +222,15 @@ class TestStrictTableaux:
             for lam in gen_partitions_in_box(n, 4):
                 assert list(gen_strict_tableaux(lam, n)) == \
                     strict_tableaux_by_filter(lam, n), (lam, n)
+
+    @given(st.lists(st.integers(1, 3), max_size=3), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_filter_on_random_shapes(self, parts, n):
+        # shapes in the 3x3 box with n up to 6, past the exhaustive
+        # range, so the filter reads at most 41,580 fillings
+        lam = Partition(sorted(parts, reverse=True))
+        assert list(gen_strict_tableaux(lam, n)) == \
+            strict_tableaux_by_filter(lam, n)
 
     def test_sum_over_shapes(self):
         cases = [(n, m) for n in range(1, 4) for m in range(1, 4)]
@@ -324,7 +337,42 @@ class TestSkewSchurOnes:
             skew_schur_ones(Partition([1]), Partition([2]), 2)
 
 
+def compositions_reference(total, parts):
+    """The recursive generator stars and bars replaced, kept as a
+    reference: every first part from 0 to total, then the compositions
+    of the rest.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions_reference(total - first, parts - 1):
+            yield (first,) + rest
+
+
 class TestCompositions:
+    def test_matches_reference_in_order(self):
+        # negative totals and zero parts included
+        for total, parts in product(range(-2, 7), range(6)):
+            assert list(compositions(total, parts)) == \
+                list(compositions_reference(total, parts)), (total, parts)
+
+    @given(st.integers(-3, 12), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_random_sizes(self, total, parts):
+        assert list(compositions(total, parts)) == \
+            list(compositions_reference(total, parts))
+
+    def test_negative_total_is_empty(self):
+        assert list(compositions(-1, 1)) == []
+        assert list(compositions(-1, 0)) == []
+
+    def test_many_parts(self):
+        # 1,500 parts are far past the recursion limit the recursive
+        # generator ran into
+        assert list(compositions(0, 1500)) == [(0,) * 1500]
+
     def test_count(self):
         for total in range(0, 5):
             for parts in range(0, 4):

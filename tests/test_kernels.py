@@ -21,10 +21,63 @@ from ppbij.kernels import _pure
 MICRO = Path(__file__).resolve().parent.parent / "perfbench" / "micro.py"
 
 
+def row_candidates_reference(bounds, max_sum):
+    """The recursive row kernel the odometer replaced, kept as a
+    reference: one call per cell, each cell taking every value from 1 to
+    the least of the cell before it, its bound and the sum left.
+    """
+    out = []
+    row = []
+
+    def extend(prev, budget):
+        pos = len(row)
+        if pos >= len(bounds):
+            return
+        cap = min(prev, bounds[pos], budget)
+        for v in range(1, cap + 1):
+            row.append(v)
+            out.append(tuple(row))
+            extend(v, budget - v)
+            row.pop()
+    extend(bounds[0] if bounds else 0, max_sum)
+    return out
+
+
+def matrices_weighted_reference(n, m, weights, bound):
+    """The recursive window kernel the odometer replaced, kept as a
+    reference: one call per entry, row-major, each entry taking every
+    value its weight lets into the bound left.  With no entries it lists
+    the empty matrix even at a negative bound, since the recursion ends
+    before reading the bound.
+    """
+    flat_w = [weights[i][j] for i in range(n) for j in range(m)]
+    if any(w <= 0 for w in flat_w):
+        raise ValueError("weights must be positive")
+    cells = n * m
+    entries = [0] * cells
+    results = []
+
+    def fill(pos, budget):
+        if pos == cells:
+            results.append(
+                tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(n))
+            )
+            return
+        w = flat_w[pos]
+        for d in range(budget // w + 1):
+            entries[pos] = d
+            fill(pos + 1, budget - d * w)
+        entries[pos] = 0
+
+    fill(0, bound)
+    return results
+
+
 def pp_box_reference(k, n, m, max_volume=None):
     """The list-building box kernel the streaming one replaced, kept as a
     reference: candidate rows are listed afresh under every partial
-    plane partition, bounded by the volume left.
+    plane partition, bounded by the volume left, by the reference row
+    kernel.
     """
     if max_volume is None:
         max_volume = k * n * m
@@ -36,7 +89,7 @@ def pp_box_reference(k, n, m, max_volume=None):
         if len(rows) >= n:
             return
         bounds = rows[-1] if rows else (m,) * k
-        for cand in kernels.row_candidates(bounds, budget):
+        for cand in row_candidates_reference(bounds, budget):
             rows.append(cand)
             recurse(budget - sum(cand))
             rows.pop()
@@ -179,8 +232,8 @@ class TestSelection:
 
 
 def test_list_kernels_leave_no_reference_cycles():
-    # a recursive closure refers to itself, so unless the kernel drops it
-    # the list it fills lives on until the cyclic collector runs
+    # a kernel that filled its list through a self-referring closure
+    # would keep that list alive until the cyclic collector runs
     gc.collect()
     gc.disable()
     try:
@@ -190,6 +243,86 @@ def test_list_kernels_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class TestRowCandidates:
+    def test_matches_reference_in_order(self):
+        # every bounding row of width up to 4 with entries 0-4, in any
+        # order, the empty one included, under every sum from -1 up to
+        # one past the largest row's
+        for width in range(5):
+            for bounds in product(range(5), repeat=width):
+                for max_sum in range(-1, sum(bounds) + 2):
+                    assert kernels.row_candidates(bounds, max_sum) == \
+                        row_candidates_reference(bounds, max_sum), \
+                        (bounds, max_sum)
+
+    @given(st.lists(st.integers(-1, 8), max_size=8), st.integers(-2, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_random_bounds(self, bounds, max_sum):
+        assert kernels.row_candidates(bounds, max_sum) == \
+            row_candidates_reference(bounds, max_sum)
+
+    def test_long_row(self):
+        # one row per length: 2,000 cells are far past the recursion
+        # limit the recursive kernel ran into
+        rows = kernels.row_candidates((1,) * 2000, 2000)
+        assert len(rows) == 2000
+        assert rows[-1] == (1,) * 2000
+
+
+class TestMatricesWeighted:
+    GRIDS = {
+        "ones": lambda i, l: 1,
+        "hooks": lambda i, l: i + l - 1,
+        "columns": lambda i, l: l,
+        "mixed": lambda i, l: (2 * i + l) % 3 + 1,
+    }
+
+    @staticmethod
+    def expected(n, m, grid, bound):
+        # a negative bound admits no matrix, the empty one included
+        if bound < 0:
+            return []
+        return matrices_weighted_reference(n, m, grid, bound)
+
+    def test_matches_reference_in_order(self):
+        # zero rows or columns and negative bounds included
+        for name, weight in self.GRIDS.items():
+            for n, m, bound in product(range(4), range(4), range(-2, 7)):
+                grid = [[weight(i, l) for l in range(1, m + 1)]
+                        for i in range(1, n + 1)]
+                assert kernels.matrices_weighted(n, m, grid, bound) == \
+                    self.expected(n, m, grid, bound), (name, n, m, bound)
+
+    @given(st.integers(0, 3).flatmap(lambda n: st.integers(0, 3).flatmap(
+        lambda m: st.tuples(
+            st.just(n), st.just(m),
+            st.lists(st.lists(st.integers(1, 4), min_size=m, max_size=m),
+                     min_size=n, max_size=n),
+            st.integers(-3, 8)))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_random_weights(self, case):
+        # at most C(17, 8) = 24,310 matrices, when every weight is 1
+        n, m, grid, bound = case
+        assert kernels.matrices_weighted(n, m, grid, bound) == \
+            self.expected(n, m, grid, bound)
+
+    def test_negative_bound_lists_nothing(self):
+        ones = [[1, 1], [1, 1]]
+        assert kernels.matrices_weighted(2, 2, ones, -1) == []
+        assert kernels.matrices_weighted(0, 2, [], -1) == []
+        assert kernels.matrices_weighted(2, 0, [[], []], -1) == []
+
+    def test_zero_size_windows(self):
+        assert kernels.matrices_weighted(0, 3, [], 2) == [()]
+        assert kernels.matrices_weighted(2, 0, [[], []], 2) == [((), ())]
+
+    def test_wide_window(self):
+        # 1,500 entries are far past the recursion limit the recursive
+        # kernel ran into
+        assert kernels.matrices_weighted(1, 1500, [[1] * 1500], 0) == \
+            [((0,) * 1500,)]
 
 
 class TestShapeKernel:
