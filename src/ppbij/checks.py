@@ -194,13 +194,10 @@ def check_macmahon_box(k: int, n: int, m: int) -> CheckResult:
         (pp.volume(),) for pp in gen_pp_box(k, n, m)))
     count_lhs = sum(lhs_poly.terms.values())
 
-    trunc = Truncation(k * n * m)
     exps = _box_exponents(k, n, m)
-    rhs_poly = MultiPoly.one(_QT)
-    for a, _ in exps:
-        rhs_poly = rhs_poly.mul_truncated(MultiPoly.one(_QT) - _q(a), trunc)
-    rhs_poly = rhs_poly.mul_truncated(
-        product_series(_QT, [(_q(b), 1) for _, b in exps], trunc), trunc)
+    rhs_poly = product_series(
+        _QT, [(_q(a), -1) for a, _ in exps] + [(_q(b), 1) for _, b in exps],
+        Truncation(k * n * m))
 
     return _build("macmahon_box", {"k": k, "n": n, "m": m},
                   [("q_poly", lhs_poly, rhs_poly),

@@ -117,7 +117,7 @@ class PlanePartition:
         trimmed = []
         unsorted = False
         for row in raw:
-            if any(map(lt, row, row[1:])):
+            if row != tuple(sorted(row, reverse=True)):
                 # a weakly decreasing row can go wrong only at its end (a
                 # negative entry, or zeros to trim), so only a row that
                 # increases somewhere is checked entry by entry

@@ -182,7 +182,8 @@ def gen_matrices_column_sums(n: int, alpha: Sequence[int]) -> Iterator[NMatrix]:
     """All n-row N-matrices whose column sums are exactly alpha."""
     per_column = [list(compositions(a, n)) for a in alpha]
     for choice in itertools.product(*per_column):
-        rows = [tuple(col[i] for col in choice) for i in range(n)]
+        # with no columns, zip() would give no rows at all
+        rows = list(zip(*choice)) if alpha else [()] * n
         yield NMatrix(rows, n, len(alpha))
 
 

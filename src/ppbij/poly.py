@@ -4,6 +4,12 @@ Coefficients are Python ints (arbitrary precision); exponent vectors are
 dense tuples over a fixed variable table.  A graded-lexicographic order
 fixes term iteration everywhere, so printing and serialization are
 deterministic.  Nothing here is ever floating point.
+
+Truncated infinite products are expanded by `product_series` in place:
+each factor 1/(1 - c*x^e) is one pass over the running series's terms,
+adding c*s[t] to s[t+e], and a negative multiplicity multiplies by
+1 - c*x^e the same way, subtracting.  Arithmetic output is wrapped
+without a second validation (`MultiPoly._from_terms`).
 """
 
 from __future__ import annotations
@@ -205,12 +211,13 @@ class MultiPoly:
                 out[exp] = c
             else:
                 out.pop(exp, None)
-        return MultiPoly(self.table, out)
+        return MultiPoly._from_terms(self.table, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_terms(self.table,
+                                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, int):
@@ -295,35 +302,50 @@ class MultiPoly:
 # -- series and specialization helpers --------------------------------
 
 
-def geometric_factor(mono: MultiPoly, trunc: Truncation) -> MultiPoly:
-    """The truncated geometric series 1 + mono + mono^2 + ... for a
-    monomial of positive degree.
-    """
-    exp, coef = mono.single_term()
-    if sum(exp) == 0:
-        raise ValueError("non-invertible truncation")
-    deg = sum(exp[trunc.variables(mono.table)])
-    if deg == 0:
-        raise ValueError("truncation does not bound the series")
-    terms = {}
-    c = 1
-    for j in range(trunc.cap // deg + 1):
-        terms[tuple(e * j for e in exp)] = c
-        c *= coef
-    return MultiPoly(mono.table, terms)
-
-
 def product_series(table: VarTable, factors: Iterable[tuple[MultiPoly, int]],
                    trunc: Truncation) -> MultiPoly:
     """Truncated expansion of prod 1/(1 - mono)^mult over the given
-    (monomial, multiplicity) factors; 1 for no factors.
+    (monomial, multiplicity) factors; 1 for no factors.  A negative
+    multiplicity multiplies by (1 - mono)^-mult.
+
+    The running series s is updated in place, one pass over its terms
+    per unit of multiplicity, with its exponents kept in lists by capped
+    degree.  Dividing by 1 - c*x^e visits them in increasing degree and
+    adds c*s[t] to s[t+e], so each s[t] is final when it is read;
+    multiplying by 1 - c*x^e visits them in decreasing degree and
+    subtracts c*s[t] from s[t+e], so each s[t] is still the old value
+    when it is read.  No term over the cap is formed.
     """
-    result = MultiPoly.one(table)
+    variables, cap = trunc.variables(table), trunc.cap
+    zero = (0,) * table.nvars
+    series = {zero: 1}
+    by_degree = [[zero]] + [[] for _ in range(cap)]
     for mono, mult in factors:
-        geo = geometric_factor(mono, trunc)
-        for _ in range(mult):
-            result = result.mul_truncated(geo, trunc)
-    return result
+        if mono.table != table:
+            raise ValueError("mismatched variable tables")
+        exp, coef = mono.single_term()
+        if sum(exp) == 0:
+            raise ValueError("non-invertible truncation")
+        step = sum(exp[variables])
+        if step == 0:
+            raise ValueError("truncation does not bound the series")
+        degrees = range(cap - step + 1)
+        if mult < 0:
+            degrees, coef = degrees[::-1], -coef
+        for _ in range(abs(mult)):
+            for d in degrees:
+                later = by_degree[d + step]
+                for t in by_degree[d]:
+                    c = series[t]
+                    if c:
+                        u = tuple(map(add, t, exp))
+                        if u in series:
+                            series[u] += coef * c
+                        else:
+                            series[u] = coef * c
+                            later.append(u)
+    return MultiPoly._from_terms(table,
+                                 {e: c for e, c in series.items() if c})
 
 
 def elementary_all(table: VarTable, kmax: int,

@@ -22,7 +22,8 @@ from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition, Word
 from ppbij.enumeration import gen_matrix_images, gen_partitions_in_box, \
     gen_pp_box, gen_pp_shape
-from ppbij.poly import MultiPoly, Truncation, VarTable, elementary_all
+from ppbij.poly import MultiPoly, Truncation, VarTable, elementary_all, \
+    product_series
 from ppbij.symfun import descent_monomial, family_vars, g_combinatorial, \
     g_refined
 
@@ -217,6 +218,21 @@ LEVEL_SENSITIVE = ROW_SENSITIVE + [
 ]
 
 
+# the checks whose product side is a product_series, each on an instance
+# whose enumerated side has a term of capped degree equal to the cap
+PRODUCT_SIDES = [
+    (check_macmahon_box, (2, 2, 2)),
+    (check_infinite_volume, (4,)),
+    (check_multivariate, (2, 2, 4)),
+    (check_cauchy_type, (2, 2, 4)),
+    (check_gl, (2, 2, 3)),
+    (check_uh_des, (2, 2, 4)),
+    (check_equidistribution, (3,)),
+    (check_uh_restricted, ("entries", 2, 4)),
+    (check_corner_volume, (2, 2, 2)),
+]
+
+
 class TestMutationSensitivity:
     @catches("uh_des")
     def test_uh_off_by_one_is_caught(self, monkeypatch):
@@ -313,6 +329,20 @@ class TestMutationSensitivity:
         r = check_uh_restricted(mode, 2, 4)
         assert r.passed is False
         assert r.first_diff[0].startswith("series:")
+
+    @catches(*(check_name(check) for check, _ in PRODUCT_SIDES))
+    @pytest.mark.parametrize("check, args", PRODUCT_SIDES)
+    def test_series_one_degree_short_is_caught(self, monkeypatch, check,
+                                               args):
+        # the product side's expansion stops one degree short of the cap
+        def short(table, factors, trunc):
+            return product_series(table, factors,
+                                  Truncation(trunc.cap - 1, trunc.family))
+
+        monkeypatch.setattr("ppbij.checks.product_series", short)
+        r = check(*args)
+        assert r.passed is False
+        assert r.first_diff is not None
 
     @catches("superadditivity")
     def test_entrywise_max_fails_superadditivity(self, monkeypatch):
@@ -424,6 +454,13 @@ class TestMutationSensitivity:
 
     def test_every_check_has_a_mutant(self):
         assert set(MUTANTS) == set(CHECKS)
+
+    def test_every_product_series_side_has_the_short_mutant(self):
+        calls = {name for name, check in CHECKS.items()
+                 if "product_series(" in inspect.getsource(check)}
+        assert calls == {check_name(check) for check, _ in PRODUCT_SIDES}
+        for name in calls:
+            assert "test_series_one_degree_short_is_caught" in MUTANTS[name]
 
 
 def images_at(table, n, m, weight, stat):

@@ -197,14 +197,30 @@ class TestMatricesAndWords:
             assert tuple(map(sum, zip(*D.entries))) == (2, 1)
         assert sum(1 for _ in gen_matrices_column_sums(2, (2, 1))) == 6
 
+    def test_column_sum_family_in_order(self):
+        # each choice of column compositions transposed to rows, one row
+        # at a time; no columns gives one n x 0 matrix
+        for n in range(4):
+            for alpha in product(range(3), repeat=n % 3 + 1):
+                for cols in (alpha, ()):
+                    expected = [
+                        tuple(tuple(col[i] for col in choice)
+                              for i in range(n))
+                        for choice in product(*(compositions(a, n)
+                                                 for a in cols))]
+                    got = list(gen_matrices_column_sums(n, cols))
+                    assert [D.entries for D in got] == expected, (n, cols)
+                    assert all((D.n_rows, D.n_cols) == (n, len(cols))
+                               for D in got)
+
 
 def strict_tableaux_by_filter(lam, n):
     """Reference: every filling of lam with entries <= n, filtered for
     strict tableaux.
     """
-    if lam and not lam.part(1) <= n <= lam.size():
+    if not lam.part(1) <= n <= lam.size():
         return []
-    return [pp for pp in gen_pp_shape(lam, max(n, 1) if lam else 1)
+    return [pp for pp in gen_pp_shape(lam, max(n, 1))
             if is_strict_tableau(pp, n)]
 
 
@@ -223,11 +239,11 @@ class TestStrictTableaux:
                 assert list(gen_strict_tableaux(lam, n)) == \
                     strict_tableaux_by_filter(lam, n), (lam, n)
 
-    @given(st.lists(st.integers(1, 3), max_size=3), st.integers(0, 6))
+    @given(st.lists(st.integers(1, 3), max_size=3), st.integers(-1, 6))
     @settings(max_examples=100, deadline=None)
     def test_matches_filter_on_random_shapes(self, parts, n):
-        # shapes in the 3x3 box with n up to 6, past the exhaustive
-        # range, so the filter reads at most 41,580 fillings
+        # shapes in the 3x3 box with n from -1 up to 6, past the
+        # exhaustive range, so the filter reads at most 41,580 fillings
         lam = Partition(sorted(parts, reverse=True))
         assert list(gen_strict_tableaux(lam, n)) == \
             strict_tableaux_by_filter(lam, n)

@@ -6,8 +6,10 @@ from operator import index
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppbij.checks import _box_exponents, _side_digest, check_macmahon_box, \
+    macmahon_count
 from ppbij.poly import MultiPoly, Truncation, VarTable, determinant, \
-    elementary_all, geometric_factor, product_series
+    elementary_all, product_series
 
 T2 = VarTable([("x", 1), ("y", 1)])
 
@@ -195,24 +197,76 @@ class TestRendering:
             MultiPoly(T2, {(2, 0): 1, (1, 1): 4}).single_term()
 
 
+def product_series_reference(table, factors, trunc):
+    """The expansion product_series replaced, kept as a reference: a
+    truncated geometric series for each factor, multiplied in with
+    mul_truncated once per unit of multiplicity, and 1 - mono once per
+    unit of a negative multiplicity.
+    """
+    result = MultiPoly.one(table)
+    for mono, mult in factors:
+        exp, coef = mono.single_term()
+        if sum(exp) == 0:
+            raise ValueError("non-invertible truncation")
+        deg = sum(exp[trunc.variables(table)])
+        if deg == 0:
+            raise ValueError("truncation does not bound the series")
+        geo = MultiPoly(table, {tuple(e * j for e in exp): coef ** j
+                                for j in range(trunc.cap // deg + 1)})
+        factor = geo if mult >= 0 else 1 - mono
+        for _ in range(abs(mult)):
+            result = result.mul_truncated(factor, trunc)
+    return result
+
+
+TQ = VarTable([("t", 1), ("q", 1)])
+SERIES_WINDOWS = [
+    (T2, Truncation(0)),
+    (T2, Truncation(5)),
+    (T2, Truncation(4, "x")),
+    (TQ, Truncation(6)),
+    (TQ, Truncation(5, "q")),
+]
+
+
+@st.composite
+def series_factors(draw):
+    """A table, a truncation and (monomial, multiplicity) factors whose
+    monomials have positive capped degree.
+    """
+    table, trunc = draw(st.sampled_from(SERIES_WINDOWS))
+    capped = trunc.variables(table)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda exp: sum(exp[capped]) > 0)
+    factors = draw(st.lists(
+        st.tuples(exps, st.sampled_from([1, -1, 2, -2]), st.integers(-2, 3)),
+        max_size=5))
+    return table, trunc, [(MultiPoly(table, {exp: coef}), mult)
+                          for exp, coef, mult in factors]
+
+
 class TestSeries:
-    def test_geometric_factor(self):
-        q = MultiPoly.var(T2, "x")
-        geo = geometric_factor(q, Truncation(3))
-        assert geo == MultiPoly(T2, {(d, 0): 1 for d in range(4)})
+    def test_geometric_series(self):
+        x = MultiPoly.var(T2, "x")
+        assert product_series(T2, [(x, 1)], Truncation(3)) == \
+            MultiPoly(T2, {(d, 0): 1 for d in range(4)})
 
-    def test_geometric_rejects_constant(self):
+    def test_rejects_constant(self):
         with pytest.raises(ValueError, match="non-invertible truncation"):
-            geometric_factor(MultiPoly.one(T2), Truncation(3))
+            product_series(T2, [(MultiPoly.one(T2), 1)], Truncation(3))
 
-    def test_geometric_factor_under_family_cap(self):
-        tq = VarTable([("t", 1), ("q", 1)])
-        t, q = MultiPoly.var(tq, "t"), MultiPoly.var(tq, "q")
-        geo = geometric_factor(t * q ** 2, Truncation(5, "q"))
-        assert geo == 1 + t * q ** 2 + t ** 2 * q ** 4
+    def test_rejects_other_table(self):
+        x = MultiPoly.var(T2, "x")
+        with pytest.raises(ValueError, match="mismatched variable tables"):
+            product_series(TQ, [(x, 1)], Truncation(3))
+
+    def test_family_cap(self):
+        t, q = MultiPoly.var(TQ, "t"), MultiPoly.var(TQ, "q")
+        got = product_series(TQ, [(t * q ** 2, 1)], Truncation(5, "q"))
+        assert got == 1 + t * q ** 2 + t ** 2 * q ** 4
         with pytest.raises(ValueError,
                            match="truncation does not bound the series"):
-            geometric_factor(t, Truncation(5, "q"))
+            product_series(TQ, [(t, 1)], Truncation(5, "q"))
 
     def test_product_series_matches_direct_expansion(self):
         x = MultiPoly.var(T2, "x")
@@ -228,6 +282,44 @@ class TestSeries:
         tr = Truncation(3)
         assert product_series(T2, [(x, 2)], tr) == \
             MultiPoly(T2, {(d, 0): d + 1 for d in range(4)})
+
+    def test_negative_multiplicity_multiplies(self):
+        # (1 - x)^2 / (1 - x) = 1 - x, and 1/(1 - 2x) * (1 - 2x) = 1
+        x = MultiPoly.var(T2, "x")
+        tr = Truncation(4)
+        assert product_series(T2, [(x, -2), (x, 1)], tr) == 1 - x
+        assert product_series(T2, [(2 * x, 1), (2 * x, -1)], tr) == \
+            MultiPoly.one(T2)
+
+    @given(series_factors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        table, trunc, factors = case
+        got = product_series(table, factors, trunc)
+        assert got == product_series_reference(table, factors, trunc)
+        assert all(got.terms.values())
+        assert all(sum(e[trunc.variables(table)]) <= trunc.cap
+                   for e in got.terms)
+
+    def test_macmahon_right_side_matches_old_product(self):
+        # the numerator multiplied in by mul_truncated, then the
+        # denominators by the reference expansion; the record's digest
+        # of the right side must be that of the old product
+        qt = VarTable([("q", 1)])
+        for k, n, m in itertools.product(range(4), range(4), range(5)):
+            trunc = Truncation(k * n * m)
+            exps = _box_exponents(k, n, m)
+            old = MultiPoly.one(qt)
+            for a, _ in exps:
+                old = old.mul_truncated(
+                    1 - MultiPoly.var(qt, "q", power=a), trunc)
+            old = old.mul_truncated(product_series_reference(
+                qt, [(MultiPoly.var(qt, "q", power=b), 1) for _, b in exps],
+                trunc), trunc)
+            expected = _side_digest([("q_poly", old),
+                                     ("count", macmahon_count(k, n, m))])
+            assert check_macmahon_box(k, n, m).digest["rhs"] == expected, \
+                (k, n, m)
 
 
 class TestElementary:
