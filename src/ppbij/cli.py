@@ -225,6 +225,15 @@ _STATS = {
 
 
 def cmd_enumerate(args) -> int:
+    if args.gf is not None and args.stat is None:
+        raise UsageError("--gf needs --stat")
+    if args.stat is not None and args.gf is None:
+        raise UsageError("--stat needs --gf")
+    if args.gf is not None and args.list:
+        raise UsageError("--gf prints a polynomial, not a --list")
+    if args.gf is not None and args.family == "words":
+        raise UsageError("enumerate words takes no --gf: the statistics "
+                         "are of plane partitions")
     if args.family == "box":
         if len(args.dims) != 3:
             raise UsageError("enumerate box needs three dimensions: k n m")
@@ -277,8 +286,6 @@ def cmd_enumerate(args) -> int:
         raise UsageError(f"unknown family {args.family!r}")
 
     if args.gf is not None:
-        if args.stat is None:
-            raise UsageError("--gf needs --stat")
         coeffs = Counter(map(_STATS[args.stat], items))
         var = args.gf
         parts = []

@@ -14,9 +14,7 @@ without a second validation (`MultiPoly._from_terms`).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +30,8 @@ class VarTable:
     __slots__ = ("families", "_offsets", "nvars")
 
     def __init__(self, families: Iterable[tuple[str, int]]):
-        families = tuple((str(name), int(arity)) for name, arity in families)
+        families = tuple((str(name), index(arity))
+                         for name, arity in families)
         names = [name for name, _ in families]
         if len(set(names)) != len(names):
             raise ValueError("family names must be unique")
@@ -135,8 +134,9 @@ class MultiPoly:
                 raise ValueError("exponent vector has wrong length")
             if exp and min(exp) < 0:
                 raise ValueError("negative exponent")
+            coef = index(coef)
             if coef:
-                clean[exp] = index(coef)
+                clean[exp] = coef
         self.terms = clean
 
     @classmethod
@@ -236,30 +236,18 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def mul_truncated(self, other: "MultiPoly", trunc: Truncation | None) -> "MultiPoly":
-        """Product, dropping result monomials over the truncation's cap.
-
-        No pair over the cap is formed: the right factor's terms are
-        sorted once by their capped degree, and each left term runs only
-        over the prefix that still fits.
-        """
+        """Product, dropping result monomials over the truncation's cap."""
         self._check(other)
-        right = list(other.terms.items())
-        if trunc is not None:
-            variables = trunc.variables(self.table)
-            right.sort(key=lambda term: sum(term[0][variables]))
-            degrees = [sum(e[variables]) for e, _ in right]
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for e1, c1 in self.terms.items():
-            fits = right
-            if trunc is not None:
-                room = trunc.cap - sum(e1[variables])
-                fits = islice(right, bisect_right(degrees, room))
-            for e2, c2 in fits:
+            for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
                 out[exp] = get(exp, 0) + c1 * c2
-        return MultiPoly._from_terms(self.table,
-                                     {e: c for e, c in out.items() if c})
+        out = {e: c for e, c in out.items() if c}
+        if trunc is not None:
+            out = trunc.kept_terms(self.table, out)
+        return MultiPoly._from_terms(self.table, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:

@@ -4,14 +4,13 @@ import hashlib
 import inspect
 import sys
 from collections import Counter
-from itertools import compress, zip_longest
-from operator import add, ge
 
 import pytest
 
+from mutants import MUTANTS, apply, weak_descents
 from ppbij import checks, kernels
 from ppbij.kernels import _pure
-from ppbij.bijection import phi, phi_inverse, strict_tableau_to_word
+from ppbij.bijection import phi
 from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     check_cauchy_type, check_corner_volume, check_dalpha, \
     check_equidistribution, check_frobenius, check_gexp, check_gl, \
@@ -19,14 +18,12 @@ from ppbij.checks import CHECKS, CheckResult, _build, _poly_diff, \
     check_multivariate, check_qschur, check_superadditivity, check_uh_des, \
     check_uh_restricted, _run_entry, load_grids, run_all
 from ppbij.cli import main
-from ppbij.core import Partition, PlanePartition, Word
+from ppbij.core import Partition, PlanePartition
 from ppbij.enumeration import gen_matrix_images, gen_partitions_in_box, \
-    gen_pp_box, gen_pp_shape
-from ppbij.poly import MultiPoly, Truncation, VarTable, elementary_all, \
-    product_series
+    gen_pp_box
+from ppbij.poly import MultiPoly, Truncation, VarTable
 from ppbij.symfun import descent_monomial, family_vars, g_combinatorial, \
     g_refined
-
 
 class TestPolyDiff:
     def test_none_when_equal(self):
@@ -145,114 +142,35 @@ class TestIndividualChecks:
         assert r.notes[0] == "ValueError: box m=-1 is negative"
 
 
-def weak_descents(self, labels=None):
-    """PlanePartition._descent_rows with >= in place of >: every cell
-    whose value is at least the value below counts as a descent.
-    """
-    rows = self.rows
-    if labels is None:
-        labels = rows
-    return [[*compress(label, map(ge, row, below)), *label[len(below):]]
-            for row, below, label in zip(rows, rows[1:] + ((),), labels)]
-
-
-# check name -> the mutation tests that inject a fault it must catch
-MUTANTS: dict[str, list[str]] = {}
-
-
-def catches(*checks):
-    """Register the decorated mutation test under the checks it fails."""
-    def register(test):
-        for name in checks:
-            MUTANTS.setdefault(name, []).append(test.__name__)
-        return test
-    return register
-
-
-def check_name(fn) -> str:
-    return next(name for name, check in CHECKS.items() if check is fn)
-
-
-TALLIED_MUTANTS = [
-    ("volume", check_macmahon_box, (2, 2, 2)),
-    ("volume", check_qschur, (2, 2, 2)),
-    ("descent_set", check_multivariate, (2, 2, 4)),
-    ("descent_set", check_cauchy_type, (2, 2, 4)),
-    ("column_counts", check_gl, (2, 2, 3)),
-    ("column_counts", check_gexp, (Partition([2, 1]),)),
-    ("volume", check_infinite_volume, (4,)),
-]
-
-
-def counts_one_row_up(entries):
-    """The count matrix with the counts of each row i >= 2 moved to row
-    i-1: row 1 holds d[1] + d[2] and the last row none.
-    """
-    if len(entries) < 2:
-        return entries
-    return [list(map(add, entries[0], entries[1])), *entries[2:],
-            [0] * len(entries[0])]
-
-
-def cells_one_level_low(kernel):
-    """`kernel` with every cell of its row tuples one lower."""
-    return lambda *args: tuple(tuple(v - 1 for v in row)
-                               for row in kernel(*args))
-
-
-# the checks that read the inverse map (phi_inverse, the word map or the
-# matrix-window images), with instances of at least two rows
-ROW_SENSITIVE = [
-    (check_multivariate, (2, 2, 4)),
-    (check_uh_des, (2, 2, 4)),
-    (check_equidistribution, (3,)),
-    (check_uh_restricted, ("entries", 2, 4)),
-    (check_uh_restricted, ("rows", 2, 4)),
-    (check_frobenius, (3, 3)),
-    (check_greene, (3, 3)),
-    (check_superadditivity, (2, 2, 2)),
-]
-LEVEL_SENSITIVE = ROW_SENSITIVE + [
-    (check_corner_volume, (2, 2, 2)),
-    (check_dalpha, (2, 2, 2, 2)),
-]
-
-
-# the checks whose product side is a product_series, each on an instance
-# whose enumerated side has a term of capped degree equal to the cap
-PRODUCT_SIDES = [
-    (check_macmahon_box, (2, 2, 2)),
-    (check_infinite_volume, (4,)),
-    (check_multivariate, (2, 2, 4)),
-    (check_cauchy_type, (2, 2, 4)),
-    (check_gl, (2, 2, 3)),
-    (check_uh_des, (2, 2, 4)),
-    (check_equidistribution, (3,)),
-    (check_uh_restricted, ("entries", 2, 4)),
-    (check_corner_volume, (2, 2, 2)),
-]
+# one case per instance of each mutant, named <mutant>-<check>, with the
+# mode of a uh_restricted instance
+MUTATION_CASES = [
+    pytest.param(name, check, args, label, id="-".join(
+        [name, check, *(a for a in args if isinstance(a, str))]))
+    for name, mutant in MUTANTS.items()
+    for check, args, label in mutant.instances]
 
 
 class TestMutationSensitivity:
-    @catches("uh_des")
-    def test_uh_off_by_one_is_caught(self, monkeypatch):
-        # drop the row-depth term from the statistic; the joint
-        # distribution check must notice and name a differing monomial
-        def flat(self):
-            return sum(self.rows[i - 1][j - 1] for i, j in self.descent_set())
-
-        monkeypatch.setattr(PlanePartition, "up_hook_volume", flat)
-        r = check_uh_des(2, 2, 4)
-        assert not r.passed
+    @pytest.mark.parametrize("name, check, args, label", MUTATION_CASES)
+    def test_mutant_is_caught(self, monkeypatch, name, check, args, label):
+        apply(monkeypatch, MUTANTS[name])
+        r = CHECKS[check](*args)
+        assert r.passed is False
         assert r.first_diff is not None
+        if label is not None:
+            first = r.first_diff[0]
+            assert (first.startswith(label) if label.endswith(":")
+                    else first == label)
 
-    @catches("uh_des")
-    def test_descent_mutation_is_caught(self, monkeypatch):
-        # a weak inequality in the descent walk breaks the volume
-        # product identity
-        monkeypatch.setattr(PlanePartition, "_descent_rows", weak_descents)
-        r = check_uh_des(2, 2, 4)
-        assert not r.passed
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_mutant_fails_the_small_grid(self, monkeypatch, name):
+        # every check the mutant's instances name fails at least one
+        # entry of the small grid
+        apply(monkeypatch, MUTANTS[name])
+        failed = {r.check_name for r in map(_run_entry, load_grids()["small"])
+                  if not r.passed}
+        assert {check for check, _, _ in MUTANTS[name].instances} <= failed
 
     def test_every_descent_statistic_reads_the_walk(self, monkeypatch):
         # the weak walk must move every descent statistic on one plane
@@ -275,192 +193,15 @@ class TestMutationSensitivity:
         for name, stat in stats.items():
             assert stat(pp) != strict[name], name
 
-    @catches(*(check_name(check) for _, check, _ in TALLIED_MUTANTS))
-    @pytest.mark.parametrize("stat, check, args", TALLIED_MUTANTS)
-    def test_tallied_side_mutation_is_caught(self, monkeypatch, stat, check,
-                                             args):
-        # one fault in the statistic each enumerated side tallies: volume
-        # one too high on a nonempty plane partition, a weak inequality
-        # in the descent walk, or the content (entries equal to each
-        # value) in place of the column counts
-        volume = PlanePartition.volume
-        mutants = {
-            "volume": ("volume",
-                       lambda self: volume(self) + (1 if self else 0)),
-            # every descent statistic reads the one descent walk
-            "descent_set": ("_descent_rows", weak_descents),
-            "column_counts": ("column_counts", lambda self, m: tuple(
-                sum(row.count(v) for row in self.rows)
-                for v in range(1, m + 1))),
-        }
-        monkeypatch.setattr(PlanePartition, *mutants[stat])
-        r = check(*args)
-        assert r.passed is False
-        assert r.first_diff is not None
-
-    @catches("equidistribution")
-    def test_flat_up_hook_fails_equidistribution(self, monkeypatch):
-        # the up-hook volume loses its row-depth term: the descent side
-        # no longer matches the product
-        monkeypatch.setattr(PlanePartition, "up_hook_volume",
-                            PlanePartition.corner_volume)
-        r = check_equidistribution(3)
-        assert r.passed is False
-        assert r.first_diff[0].startswith("uh_vs_product:")
-
-    @catches("equidistribution")
-    def test_first_column_trace_fails_equidistribution(self, monkeypatch):
-        # the trace sums the first column instead of the diagonal: the
-        # volume side no longer matches the product
-        monkeypatch.setattr(PlanePartition, "trace",
-                            lambda self: sum(row[0] for row in self.rows))
-        r = check_equidistribution(3)
-        assert r.passed is False
-        assert r.first_diff[0].startswith("vol_vs_product:")
-
-    @catches("uh_restricted")
-    @pytest.mark.parametrize("mode", ["entries", "rows"])
-    def test_deep_up_hook_fails_uh_restricted(self, monkeypatch, mode):
-        # the up-hook volume counts each descent one row too deep
-        up_hook = PlanePartition.up_hook_volume
-        monkeypatch.setattr(
-            PlanePartition, "up_hook_volume",
-            lambda self: up_hook(self) + self.descent_count())
-        r = check_uh_restricted(mode, 2, 4)
-        assert r.passed is False
-        assert r.first_diff[0].startswith("series:")
-
-    @catches(*(check_name(check) for check, _ in PRODUCT_SIDES))
-    @pytest.mark.parametrize("check, args", PRODUCT_SIDES)
-    def test_series_one_degree_short_is_caught(self, monkeypatch, check,
-                                               args):
-        # the product side's expansion stops one degree short of the cap
-        def short(table, factors, trunc):
-            return product_series(table, factors,
-                                  Truncation(trunc.cap - 1, trunc.family))
-
-        monkeypatch.setattr("ppbij.checks.product_series", short)
-        r = check(*args)
-        assert r.passed is False
-        assert r.first_diff is not None
-
-    @catches("superadditivity")
-    def test_entrywise_max_fails_superadditivity(self, monkeypatch):
-        # the entrywise sum becomes the entrywise maximum, still a plane
-        # partition, but the volume is no longer additive
-        monkeypatch.setattr(PlanePartition, "add", lambda self, other:
-                            PlanePartition(
-                                map(max, zip_longest(a, b, fillvalue=0))
-                                for a, b in zip_longest(
-                                    self.rows, other.rows, fillvalue=())))
-        r = check_superadditivity(2, 2, 2)
-        assert r.passed is False
-        assert r.first_diff[0] == "violations"
-
-    @catches("dalpha")
-    def test_weak_columns_fail_dalpha_expansion(self, monkeypatch):
-        # fill the Kostka side with weakly decreasing columns; the
-        # column-count tally of the box does not read those fillings
-        monkeypatch.setattr("ppbij.enumeration.gen_column_strict",
-                            gen_pp_shape)
-        r = check_dalpha(2, 2, 2, 2)
-        assert r.passed is False
-        assert r.first_diff[0] == "kostka_expansion_failures"
-
-    @catches("qschur", "corner_volume")
-    @pytest.mark.parametrize("check", [check_qschur, check_corner_volume])
-    def test_dropped_value_fails_jacobi_trudi_side(self, monkeypatch,
-                                                   check):
-        # the elementary polynomials of the determinant side lose the
-        # last value of every row
-        monkeypatch.setattr(
-            "ppbij.symfun.elementary_all",
-            lambda table, kmax, vals: elementary_all(table, kmax, vals[:-1]))
-        r = check(2, 2, 2)
-        assert r.passed is False
-        assert r.first_diff is not None
-
-    @catches("greene")
-    def test_high_tail_subsequence_fails_greene(self, monkeypatch):
-        # every longest-subsequence length one too high on a nonempty
-        # word: the Greene shape no longer matches the tableau shape
-        lis_tails = kernels.lis_tails
-        monkeypatch.setattr(
-            kernels, "lis_tails",
-            lambda letters, m: tuple(t + bool(letters)
-                                     for t in lis_tails(letters, m)))
-        r = check_greene(3, 3)
-        assert r.passed is False
-        assert r.first_diff[0] == "mismatches"
-
-    @catches("frobenius")
-    def test_reversed_reading_fails_frobenius(self, monkeypatch):
-        # the word read back off a strict tableau comes out reversed
-        monkeypatch.setattr(
-            "ppbij.checks.strict_tableau_to_word",
-            lambda st, m: Word(strict_tableau_to_word(st, m).letters[::-1],
-                               m))
-        r = check_frobenius(3, 3)
-        assert r.passed is False
-        assert r.first_diff[0] == "roundtrip_failures"
-
-    @catches("dalpha")
-    def test_wrong_inverse_map_fails_dalpha(self, monkeypatch):
-        # lower every entry of the inverse image by one (zeros trimmed);
-        # the unbounded product-formula side must count the mismatches
-        def shifted(D):
-            return PlanePartition([[v - 1 for v in row]
-                                   for row in phi_inverse(D).rows])
-
-        monkeypatch.setattr("ppbij.enumeration.phi_inverse", shifted)
-        r = check_dalpha(2, 2, 2, 2)
-        assert r.passed is False
-        assert r.first_diff[0] == "product_formula_failures"
-
-    @catches(*(check_name(check) for check, _ in ROW_SENSITIVE))
-    @pytest.mark.parametrize("check, args", ROW_SENSITIVE)
-    def test_insertion_one_row_short_is_caught(self, monkeypatch, check,
-                                               args):
-        # the inverse map credits row max(i-1, 1) in place of row i: the
-        # recurrence grows row i-1 by d[i][l], and the word step fills
-        # each new column down to the row above the letter's (row 1
-        # stays row 1); the corner volume and the column counts do not
-        # read the row index, so corner_volume and dalpha cannot see this
-        # fault
-        phi_inverse_rows = kernels.phi_inverse_rows
-        word_tableau_rows = kernels.word_tableau_rows
-        monkeypatch.setattr(
-            kernels, "phi_inverse_rows", lambda entries, n, m:
-            phi_inverse_rows(counts_one_row_up(entries), n, m))
-        monkeypatch.setattr(
-            kernels, "word_tableau_rows", lambda letters:
-            word_tableau_rows([max(a - 1, 1) for a in letters]))
-        r = check(*args)
-        assert r.passed is False
-        assert r.first_diff is not None
-
-    @catches(*(check_name(check) for check, _ in LEVEL_SENSITIVE))
-    @pytest.mark.parametrize("check, args", LEVEL_SENSITIVE)
-    def test_insertion_one_level_low_is_caught(self, monkeypatch, check,
-                                               args):
-        # the recurrence and the word step write level-1 in place of
-        # level (the zeros they make at level 1 are trimmed)
-        for name in ("phi_inverse_rows", "word_tableau_rows"):
-            monkeypatch.setattr(kernels, name,
-                                cells_one_level_low(getattr(kernels, name)))
-        r = check(*args)
-        assert r.passed is False
-        assert r.first_diff is not None
-
     def test_every_check_has_a_mutant(self):
-        assert set(MUTANTS) == set(CHECKS)
+        assert {check for mutant in MUTANTS.values()
+                for check, _, _ in mutant.instances} == set(CHECKS)
 
     def test_every_product_series_side_has_the_short_mutant(self):
         calls = {name for name, check in CHECKS.items()
                  if "product_series(" in inspect.getsource(check)}
-        assert calls == {check_name(check) for check, _ in PRODUCT_SIDES}
-        for name in calls:
-            assert "test_series_one_degree_short_is_caught" in MUTANTS[name]
+        short = MUTANTS["series_one_degree_short"].instances
+        assert calls == {check for check, _, _ in short}
 
 
 def images_at(table, n, m, weight, stat):

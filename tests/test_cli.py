@@ -126,6 +126,19 @@ class TestEnumerate:
                            "--gf", "q", "--stat", "volume")
         assert code == 0 and out.strip() == "1 + q"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["box", "1", "1", "1", "--gf", "q"], "--gf needs --stat"),
+        (["box", "1", "1", "1", "--stat", "volume"], "--stat needs --gf"),
+        (["box", "1", "1", "1", "--gf", "q", "--stat", "volume", "--list"],
+         "not a --list"),
+        (["words", "--n", "2", "--m", "2", "--gf", "q", "--stat", "volume"],
+         "enumerate words takes no --gf"),
+    ])
+    def test_flags_it_would_ignore_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_strict_tableaux(self, capsys):
         code, out, _ = run(capsys, "enumerate", "st", "--shape", "2,1",
                            "--n", "3")

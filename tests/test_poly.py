@@ -31,8 +31,9 @@ def multipoly_terms_reference(table, terms):
             raise ValueError("exponent vector has wrong length")
         if any(e < 0 for e in exp):
             raise ValueError("negative exponent")
+        coef = index(coef)
         if coef:
-            clean[exp] = index(coef)
+            clean[exp] = coef
     return clean
 
 
@@ -64,6 +65,12 @@ class TestConstructorMatchesReference:
             assert all(type(v) is int
                        for exp, coef in got.items() for v in (*exp, coef))
 
+    @pytest.mark.parametrize("coef", [0.0, None, "", 1.0])
+    def test_coefficient_is_read_before_it_is_tested(self, coef):
+        # a value that is not an integer raises, even where it is falsy
+        with pytest.raises(TypeError):
+            MultiPoly(T2, {(1, 0): coef})
+
 
 class TestVarTable:
     def test_flattening(self):
@@ -80,6 +87,11 @@ class TestVarTable:
     def test_index_bounds(self):
         with pytest.raises(IndexError):
             T2.index("x", 2)
+
+    @pytest.mark.parametrize("arity", [2.5, "2", None])
+    def test_arity_must_be_an_integer(self, arity):
+        with pytest.raises(TypeError):
+            VarTable([("x", arity)])
 
 
 class TestTruncation:
