@@ -28,12 +28,15 @@ def phi_inverse(D: NMatrix) -> PlanePartition:
     """The inverse map: the unique plane partition with at most n rows and
     entries <= m whose descent-level-count matrix is D.
 
-    The image is validated, not wrapped, like the images of
-    `enumeration.gen_matrix_images`, which come from the same kernel:
-    wrapped unchecked, those let a kernel that writes every cell one
-    level low pass `check_multivariate`.  A check that compares the
-    images with a direct tally (ROADMAP item 4, the labelled
-    bijectivity comparison) is what would let this validation go.
+    This and `word_to_strict_tableau` are the only code that turns the
+    inverse kernels' rows into plane partitions, and both validate their
+    image instead of wrapping it: wrapped unchecked, a kernel that
+    writes every cell one level low passes `check_multivariate` on the
+    matrix windows (`enumeration.gen_matrix_images` builds its images
+    here) and `check_frobenius` and `check_greene` on the words, and
+    only the constructor rejects its rows.  A check that compares the
+    images with a direct tally (ROADMAP item 5, the labelled bijectivity
+    comparison) is what would let this validation go.
     """
     return PlanePartition(kernels.phi_inverse_rows(D.entries, D.n_rows, D.n_cols))
 
@@ -63,11 +66,7 @@ def word_to_strict_tableau(w: Word) -> PlanePartition:
     length n: the inverse map applied to the word's m x n 0/1 matrix,
     whose column p holds a single 1 at row w_p.
 
-    The tableau is validated, not wrapped: wrapped unchecked, a kernel
-    that writes every cell one level low passes `check_frobenius` and
-    `check_greene`, and only the constructor rejects its rows.  ROADMAP
-    item 4's labelled bijectivity comparison is what would let this
-    validation go.
+    The tableau is validated, for the reason `phi_inverse` gives.
     """
     return PlanePartition(kernels.word_tableau_rows(w.letters))
 
@@ -104,4 +103,6 @@ def greene_shape(w: Word) -> Partition:
     """The partition (L_m(w), ..., L_1(w)), trailing zeros trimmed, from
     one pass over the word.
     """
-    return Partition(reversed(kernels.lis_tails(w.letters, w.m)))
+    # L_1 <= ... <= L_m, so the zeros to trim lead the kernel's tuple
+    tails = kernels.lis_tails(w.letters, w.m)
+    return Partition._from_parts(tails[tails.count(0):][::-1])

@@ -162,6 +162,20 @@ def _window_pair(table: VarTable, trunc: Truncation, window: int,
 # -- individual checks -------------------------------------------------
 
 
+def _hook(i: int, l: int) -> int:
+    """The window weight of the up-hook volume: a descent of level l in
+    row i adds i + l - 1 to it.
+    """
+    return i + l - 1
+
+
+def _level(i: int, l: int) -> int:
+    """The window weight of the corner volume: a descent of level l adds
+    l to it.
+    """
+    return l
+
+
 def _box_exponents(k: int, n: int, m: int) -> list[tuple[int, int]]:
     """(i+j+l-1, i+j+l-2) for each cell (i, j, l) of the k x n x m box:
     the exponents of MacMahon's product prod (1-q^a)/(1-q^b).
@@ -300,8 +314,7 @@ def check_uh_des(n: int, m: int, N: int) -> CheckResult:
     trunc = Truncation(N, "q")
     lhs, enlarged = _window_pair(_TQT, trunc, N, (
         (w, (pp.descent_count(), pp.up_hook_volume()), 1)
-        for w, pp in gen_matrix_images(n, m, N + 1,
-                                       weight=lambda i, l: i + l - 1)))
+        for w, pp in gen_matrix_images(n, m, N + 1, weight=_hook)))
     t = MultiPoly.var(_TQT, "t")
     factors = [(t * MultiPoly.var(_TQT, "q", 1, power=i + j - 1), 1)
                for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -324,8 +337,7 @@ def check_equidistribution(N: int) -> CheckResult:
 
     lhs, enlarged = _window_pair(_TQT, trunc, N, (
         (w, (pp.descent_count(), pp.up_hook_volume()), 1)
-        for w, pp in gen_matrix_images(N + 1, N + 1, N + 1,
-                                       weight=lambda i, l: i + l - 1)))
+        for w, pp in gen_matrix_images(N + 1, N + 1, N + 1, weight=_hook)))
     vol_side = MultiPoly(_TQT, Counter(
         (pp.trace(), pp.volume())
         for pp in gen_pp_box(N, N, N, max_volume=N)))
@@ -353,8 +365,7 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> CheckResult:
 
     lhs, enlarged = _window_pair(_QT, trunc, N, (
         (w, (pp.up_hook_volume(),), 1)
-        for w, pp in gen_matrix_images(n_rows, n_cols, N + 1,
-                                       weight=lambda i, l: i + l - 1)))
+        for w, pp in gen_matrix_images(n_rows, n_cols, N + 1, weight=_hook)))
     rhs = product_series(
         _QT, [(_q(j), min(j, bound)) for j in range(1, N + 1)], trunc)
     return _build("uh_restricted", {"mode": mode, "bound": bound, "N": N},
@@ -384,7 +395,7 @@ def check_corner_volume(k: int, n: int, m: int, N: int = 5) -> CheckResult:
     trunc = Truncation(N)
     lhs3, enlarged = _window_pair(_QT, trunc, N, (
         (w, (pp.corner_volume(),), 1)
-        for w, pp in gen_matrix_images(n, m, N + 1, weight=lambda i, l: l)))
+        for w, pp in gen_matrix_images(n, m, N + 1, weight=_level)))
     rhs3 = product_series(_QT, [(_q(i), n) for i in range(1, m + 1)], trunc)
 
     slice_lhs = sum(lhs2.terms.values())
@@ -486,7 +497,8 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> CheckResult:
     # rest, so s_{rho/lam}(1^n) counts the column-strict fillings of rest
     expansion: Counter[tuple[int, ...]] = Counter()
     for lam in gen_partitions_in_box(k, n):
-        rest = Partition(k - lam.part(i) for i in range(n, 0, -1))
+        rest = Partition._from_parts(tuple(filter(None, (
+            k - lam.part(i) for i in range(n, 0, -1)))))
         skew = sum(column_strict_contents(rest, n).values())
         for content, count in column_strict_contents(lam, m).items():
             expansion[content] += count * skew
@@ -563,8 +575,9 @@ def check_superadditivity(k: int, n: int, m: int,
             if s.volume() != p1.volume() + p2.volume():
                 violations += 1
             d1, d2 = mats[p1], mats[p2]
-            merged = NMatrix(map(add, r1, r2)
-                             for r1, r2 in zip(d1.entries, d2.entries))
+            merged = NMatrix._from_entries(tuple(
+                tuple(map(add, r1, r2))
+                for r1, r2 in zip(d1.entries, d2.entries)), n, m)
             t = phi_inverse(merged)
             if t.up_hook_volume() < p1.up_hook_volume() + p2.up_hook_volume():
                 violations += 1
@@ -651,10 +664,6 @@ def _window(n: int, m: int, bound: int,
     return sum(ways)
 
 
-def _hook(i: int, l: int) -> int:
-    return i + l - 1
-
-
 def _strict_rows(lam: Partition, n: int) -> int:
     """The row allowance of gen_strict_tableaux(lam, n): for each row of
     lam, the C(n + lam_1, lam_1) weakly decreasing rows of at most lam_1
@@ -731,7 +740,7 @@ WORK: dict[str, Callable[..., int]] = {
         + _window(N, N, N, _hook)),
     "uh_restricted": _uh_restricted_work,
     "corner_volume": lambda k, n, m, N=5: (
-        _box(k, n, m) + PER_MATRIX * _window(n, m, N + 1, lambda i, l: l)),
+        _box(k, n, m) + PER_MATRIX * _window(n, m, N + 1, _level)),
     "frobenius": _frobenius_work,
     "gexp": _gexp_work,
     # each word builds a Word, its tableau and its Greene shape

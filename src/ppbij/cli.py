@@ -35,11 +35,13 @@ from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
 # Two kinds of caps, lifted by --unsafe-no-caps.  Per-parameter caps
 # keep each work model cheap to evaluate: box sides, shape rows and widths
 # and --bound up to 5 (k is also the size of the Schur determinants),
-# degree windows up to 12, word lengths and the n of `verify` up to 10,
-# and up to 8 variables in gexp (9 take over a minute).
+# degree windows up to 12, the --n of `enumerate words` and of `verify`
+# up to 10, and up to 8 variables in gexp (9 take over a minute).  The
+# word given to `map word` or `greene` has no length cap: its letters are
+# the digits 1-9, so each letter takes at most 9 steps.
 CAP_BOX = 5
 CAP_N = 12
-CAP_WORD = 10
+CAP_SMALL_N = 10
 CAP_GEXP_N = 8
 # One work cap over the objects a command builds or the entries it
 # prints: `checks.WORK` for `verify NAME`, its own count for each other
@@ -57,8 +59,7 @@ class DomainError(Exception):
     """Structurally valid input outside an operation's domain: exit 1."""
 
 
-def _check_caps(args, dims=(), N=None, word_len=None, n_max=None,
-                work=None):
+def _check_caps(args, dims=(), N=None, n=None, n_max=None, work=None):
     """Raise UsageError for the first negative parameter, and for the
     first parameter over its cap unless --unsafe-no-caps was given.
     `dims` are (name, value) pairs capped as box sides.  `work` is a
@@ -66,7 +67,7 @@ def _check_caps(args, dims=(), N=None, word_len=None, n_max=None,
     builds, evaluated only once every parameter is within its cap.
     """
     limits = [*((name, value, CAP_BOX) for name, value in dims),
-              ("N", N, CAP_N), ("word length", word_len, CAP_WORD),
+              ("N", N, CAP_N), ("n", n, CAP_SMALL_N),
               ("n_max", n_max, CAP_GEXP_N)]
     for what, value, _ in limits:
         if value is not None and value < 0:
@@ -187,7 +188,6 @@ def cmd_map(args) -> int:
             w = Word.from_digits(args.w, args.m)
         except ValueError as exc:
             raise UsageError(f"bad word: {exc}") from None
-        _check_caps(args, word_len=len(w))
         st = word_to_strict_tableau(w)
         _emit(args, [json.dumps(st.to_json())], st.to_json())
     else:
@@ -270,7 +270,7 @@ def cmd_enumerate(args) -> int:
     elif args.family == "words":
         if args.n is None or args.m is None:
             raise UsageError("enumerate words needs --n and --m")
-        _check_caps(args, dims=[("m", args.m)], word_len=args.n,
+        _check_caps(args, dims=[("m", args.m)], n=args.n,
                     work=(f"the words of length {args.n} over {args.m} "
                           "letters", lambda: args.m ** args.n))
         ws = gen_words(args.n, args.m)
@@ -339,9 +339,8 @@ def cmd_greene(args) -> int:
         w = Word.from_digits(args.w, args.m)
     except ValueError as exc:
         raise UsageError(f"bad word: {exc}") from None
-    _check_caps(args, word_len=len(w),
-                work=("the tail lengths L_1..L_m (m of them)",
-                      lambda: w.m))
+    _check_caps(args, work=("the tail lengths L_1..L_m (m of them)",
+                            lambda: w.m))
     shape = list(greene_shape(w).parts)
     # the shape is (L_m, ..., L_1) with its trailing zeros trimmed
     tails = shape + [0] * (w.m - len(shape))
@@ -388,8 +387,8 @@ def cmd_verify(args) -> int:
         if missing:
             raise UsageError(
                 f"check {args.name!r} needs: {', '.join(sorted(missing))}")
-        # n is the word length of greene and frobenius; k, m and --bound
-        # are box sides
+        # k, m and --bound are box sides; n, a row count or the word
+        # length of greene and frobenius, has a cap of its own
         dims = [(p, supplied.get(p)) for p in ("k", "m", "bound")]
         lam = supplied.pop("lam", None)
         if lam is not None:
@@ -397,7 +396,7 @@ def cmd_verify(args) -> int:
             supplied["lambda"] = list(lam.parts)  # as in the grids
         _check_caps(args, dims=dims,
                     N=supplied.get("N", supplied.get("N_max")),
-                    word_len=supplied.get("n"),
+                    n=supplied.get("n"),
                     n_max=None if lam is None
                     else supplied.get("n_max", lam.size()),
                     work=(f"verify {args.name} (checks.WORK)",

@@ -5,15 +5,24 @@ All indices are 1-based (row i, column j, value level l); conversion to
 All types are immutable and hashable, so they can be used freely as set
 elements and dictionary keys during exhaustive enumeration.
 
-Validation is a boundary.  The public constructors check their input
-with builtin passes and convert each entry with `operator.index`, so a
-float or a numeric string raises TypeError instead of being truncated.
-Values computed from an already validated value are wrapped without a
-second check by private classmethods: `PlanePartition._from_rows` (the
-box, shape and strict-tableau generators), `Partition._from_parts`
-(`PlanePartition.shape`), `NMatrix._from_entries` (`bijection.phi`'s
-count matrix) and `Word._from_letters` (`bijection.strict_tableau_to_word`).
-The inverse-map images stay validated; see `bijection.phi_inverse`.
+Validation is a boundary.  Three kinds of value are built by the
+validating public constructors, which check their input with builtin
+passes and read each entry with `operator.index`, so that a float or a
+numeric string raises TypeError instead of being truncated:
+
+- public, JSON and CLI input;
+- the inverse-map images, built by `bijection.phi_inverse` and
+  `bijection.word_to_strict_tableau` alone (see `phi_inverse` for why);
+- the outputs of the code the checks test: the `MultiPoly` tallies of
+  the statistics (wrapped, an exponent 2.0 from a faulty statistic
+  would merge with 2 and pass) and `PlanePartition.add` and `scale`,
+  whose laws `check_superadditivity` tests.
+
+Every other value is made by trusted code (the kernels, itertools, or a
+computation on validated values) and is wrapped without a second check
+by the private classmethods `PlanePartition._from_rows`,
+`Partition._from_parts`, `NMatrix._from_entries` and
+`Word._from_letters`.
 """
 
 from __future__ import annotations
@@ -87,13 +96,8 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        return Partition._from_parts(tuple([
+            sum(p > j for p in self.parts) for j in range(self.part(1))]))
 
     @staticmethod
     def rectangle(k: int, n: int) -> "Partition":

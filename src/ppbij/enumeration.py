@@ -11,18 +11,13 @@ and products).  No generator recurses: the box generator walks its rows
 depth-first on an explicit stack, and the shape and strict-tableau
 generators extend every partial filling a whole row at a time.
 
-The box, shape and strict-tableau generators wrap kernel rows with the
-trusted `PlanePartition._from_rows` instead of validating each member
-again; the tests compare their output with the validating constructor.
-`gen_matrix_images` validates each inverse-map image: wrapped unchecked,
-a kernel that writes every cell one level low passes
-`check_multivariate`, and no check compares those images with a direct
-enumeration yet (ROADMAP item 4).  It pairs each image with its
-matrix's weighted sum, so that a series check enumerates only its
-enlarged window and reads the base window off the pairs of weight at
-most the base bound.  Words (`gen_words`) and column-sum matrices
-(`gen_matrices_column_sums`) go through the validating `Word` and
-`NMatrix` constructors, which read each entry with `operator.index`.
+Every generator wraps what it builds without a second check (see
+`core`), except `gen_matrix_images`, whose images come from
+`bijection.phi_inverse` and are validated there.  The tests compare the
+wrapped members with what the validating constructors build.
+`gen_matrix_images` pairs each image with its matrix's weighted sum, so
+that a series check enumerates only its enlarged window and reads the
+base window off the pairs of weight at most the base bound.
 """
 
 from __future__ import annotations
@@ -43,7 +38,8 @@ def gen_partitions_in_box(k: int, n: int) -> Iterator[Partition]:
     Yields C(k+n, n) partitions, the empty one first.
     """
     for parts in itertools.combinations_with_replacement(range(k + 1), n):
-        yield Partition(reversed(parts))
+        # parts is weakly increasing, so its zeros lead
+        yield Partition._from_parts(parts[parts.count(0):][::-1])
 
 
 def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
@@ -79,8 +75,8 @@ def gen_matrix_images(n: int, m: int, bound: int,
                       ) -> Iterator[tuple[int, PlanePartition]]:
     """(sum(D[i][l] * weight(i, l)), image) for each n x m N-matrix D
     whose weighted sum is at most bound, in the kernel's order.  Each
-    image is D's inverse-map image, validated: a plane partition with at
-    most n rows and entries <= m.
+    image is `phi_inverse(D)`: a plane partition with at most n rows and
+    entries <= m.
 
     The images of weight <= b are those of the window of bound b, so
     one pass over a window also yields every smaller window.
@@ -94,13 +90,13 @@ def gen_matrix_images(n: int, m: int, bound: int,
     flat = tuple(itertools.chain.from_iterable(grid))
     for entries in kernels.matrices_weighted(n, m, grid, bound):
         total = sum(map(mul, itertools.chain.from_iterable(entries), flat))
-        yield total, PlanePartition(kernels.phi_inverse_rows(entries, n, m))
+        yield total, phi_inverse(NMatrix._from_entries(entries, n, m))
 
 
 def gen_words(n: int, m: int) -> Iterator[Word]:
     """All m**n words of length n in the alphabet [m]."""
     for letters in itertools.product(range(1, m + 1), repeat=n):
-        yield Word(letters, m)
+        yield Word._from_letters(letters, m)
 
 
 def gen_strict_tableaux(lam: Partition, n: int) -> Iterator[PlanePartition]:
@@ -183,8 +179,8 @@ def gen_matrices_column_sums(n: int, alpha: Sequence[int]) -> Iterator[NMatrix]:
     per_column = [list(compositions(a, n)) for a in alpha]
     for choice in itertools.product(*per_column):
         # with no columns, zip() would give no rows at all
-        rows = list(zip(*choice)) if alpha else [()] * n
-        yield NMatrix(rows, n, len(alpha))
+        rows = tuple(zip(*choice)) if alpha else ((),) * n
+        yield NMatrix._from_entries(rows, n, len(alpha))
 
 
 def count_D_alpha(k: int | None, n: int, m: int, alpha: Sequence[int]) -> int:

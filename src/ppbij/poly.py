@@ -30,9 +30,10 @@ class VarTable:
     __slots__ = ("families", "_offsets", "nvars")
 
     def __init__(self, families: Iterable[tuple[str, int]]):
-        families = tuple((str(name), index(arity))
-                         for name, arity in families)
+        families = tuple((name, index(arity)) for name, arity in families)
         names = [name for name, _ in families]
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError("family names must be strings")
         if len(set(names)) != len(names):
             raise ValueError("family names must be unique")
         if any(arity < 0 for _, arity in families):
@@ -90,6 +91,7 @@ class Truncation:
     family: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "cap", index(self.cap))
         if self.cap < 0:
             raise ValueError("cap must be nonnegative")
 

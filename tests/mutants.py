@@ -142,13 +142,21 @@ MUTANTS = {
           lambda reading: lambda st, m: Word(reading(st, m).letters[::-1],
                                              m))],
         [("frobenius", (3, 3), "roundtrip_failures")]),
-    # every entry of the inverse image one lower (zeros trimmed); the
-    # unbounded product-formula side counts the mismatches
+    # every entry of the inverse image one lower (zeros trimmed).  The
+    # enumeration module builds every image it reads through this one
+    # name: the unbounded product-formula side of dalpha counts the
+    # mismatches, and the matrix windows of the series checks move
     "wrong_inverse_map": Mutant(
         [("ppbij.enumeration.phi_inverse",
           lambda inverse: lambda D: PlanePartition(
               [[v - 1 for v in row] for row in inverse(D).rows]))],
-        [("dalpha", (2, 2, 2, 2), "product_formula_failures")]),
+        [("dalpha", (2, 2, 2, 2), "product_formula_failures"),
+         ("multivariate", _WINDOW, "series:"),
+         ("uh_des", _WINDOW, "series:"),
+         ("equidistribution", (3,), "uh_vs_product:"),
+         ("uh_restricted", ("entries", 2, 4), "series:"),
+         ("uh_restricted", ("rows", 2, 4), "series:"),
+         ("corner_volume", _BOX, "unbounded_q3:")]),
     # the inverse map credits row max(i-1, 1) in place of row i: the
     # recurrence grows row i-1 by d[i][l], and the word step fills each
     # new column down to the row above the letter's (row 1 stays row 1).

@@ -10,6 +10,7 @@ from ppbij import kernels
 from ppbij.bijection import greene_shape, is_strict_tableau, \
     max_downright_path_weight, phi, phi_inverse, strict_tableau_to_word, \
     word_to_strict_tableau
+from ppbij.checks import run_all
 from ppbij.core import Cell, NMatrix, Partition, PlanePartition, Word
 from ppbij.enumeration import gen_pp_box, gen_words
 from ppbij.poly import MultiPoly
@@ -170,8 +171,9 @@ class TestWordMaps:
 
 class TestValidationBoundary:
     """The images of the two inverse maps are validated; the values that
-    phi, strict_tableau_to_word and PlanePartition.shape compute from a
-    validated value are wrapped without a second check.
+    phi, strict_tableau_to_word, greene_shape, PlanePartition.shape and
+    Partition.conjugate compute from a validated value are wrapped
+    without a second check.
     """
 
     @pytest.fixture
@@ -232,8 +234,18 @@ class TestValidationBoundary:
                     st = word_to_strict_tableau(w)
                     back = strict_tableau_to_word(st, m)
                     self.assert_as_validated(back, Word(back.letters, m))
-                    lam = st.shape()
-                    self.assert_as_validated(lam, Partition(lam.parts))
+                    for lam in st.shape(), greene_shape(w):
+                        self.assert_as_validated(lam, Partition(lam.parts))
+                        conj = lam.conjugate()
+                        self.assert_as_validated(conj, Partition(conj.parts))
+
+    def test_small_grid_builds_no_word_or_matrix_through_init(self, inits):
+        # the grid's words and matrices come from itertools, zip and the
+        # bijection and are wrapped; its plane partitions include the
+        # validated inverse-map images
+        assert all(r.passed for r in run_all("small"))
+        assert inits["Word"] == inits["NMatrix"] == 0
+        assert inits["PlanePartition"] > 0
 
 
 def brute_lis_tail(w: Word, i: int) -> int:

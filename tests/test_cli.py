@@ -6,8 +6,11 @@ import time
 import pytest
 
 from ppbij import cli
+from ppbij.bijection import is_strict_tableau, strict_tableau_to_word, \
+    word_to_strict_tableau
 from ppbij.checks import CHECKS, CheckResult, load_grids
 from ppbij.cli import main
+from ppbij.core import PlanePartition, Word
 
 GOLDEN_PP = "[[4,4,2],[4,2,1],[2,2]]"
 
@@ -40,6 +43,16 @@ class TestMap:
         code, out, _ = run(capsys, "map", "word", "--w", "132434", "--m", "4")
         assert code == 0
         assert json.loads(out) == [[6, 5, 3, 1], [6, 5, 3], [6, 5, 2], [6, 4]]
+
+    def test_word_of_any_length(self, capsys):
+        # a letter is a digit <= 9 and takes at most 9 steps, so the word
+        # length is not capped: here 120 letters
+        word = "3121323" * 17 + "1"
+        code, out, _ = run(capsys, "map", "word", "--w", word, "--m", "3")
+        assert code == 0
+        st = PlanePartition(json.loads(out))
+        assert is_strict_tableau(st, 120)
+        assert strict_tableau_to_word(st, 3) == Word.from_digits(word, 3)
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "map", "phi", "--pp", GOLDEN_PP,
@@ -307,9 +320,18 @@ class TestGreene:
         assert data["shape"] == [4, 3, 3, 2]
         assert data["L"] == [4, 3, 3, 2]
 
-    def test_word_cap(self, capsys):
-        code, _, err = run(capsys, "greene", "--w", "1" * 11, "--m", "2")
-        assert code == 2
+    def test_word_of_any_length(self, capsys):
+        # 120 letters; the cap is on m, the number of tail lengths
+        word = "3121323" * 17 + "1"
+        code, out, _ = run(capsys, "greene", "--w", word, "--m", "3",
+                           "--json")
+        assert code == 0
+        data = json.loads(out)
+        shape = word_to_strict_tableau(Word.from_digits(word, 3)).shape()
+        assert data["shape"] == list(shape.parts)
+        # L_1 reads the 3s alone
+        assert data["L"] == data["shape"] == [52, 51, 51]
+        assert data["L"][2] == word.count("3")
 
 
 class TestVerify:
@@ -322,6 +344,14 @@ class TestVerify:
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "nope")
         assert code == 2
+
+    def test_n_cap_names_n(self, capsys):
+        # n is a box side here, not a word length
+        code, _, err = run(capsys, "verify", "macmahon_box", "--k", "1",
+                           "--n", "11", "--m", "1")
+        assert code == 2
+        assert "n=11 exceeds the cap 10" in err
+        assert "word" not in err
 
     def test_missing_params_reported(self, capsys):
         code, _, err = run(capsys, "verify", "macmahon_box", "--k", "2")

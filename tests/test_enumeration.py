@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppbij import kernels
 from ppbij.bijection import is_strict_tableau, phi_inverse
-from ppbij.core import NMatrix, Partition, PlanePartition
+from ppbij.core import NMatrix, Partition, PlanePartition, Word
 from ppbij.enumeration import column_strict_contents, compositions, \
     count_D_alpha, dominates, f_lambda, gen_column_strict, \
     gen_matrices_column_sums, gen_matrix_images, gen_partitions_in_box, \
@@ -108,9 +108,9 @@ class TestBoxedPlanePartitions:
 
 
 class TestTrustedOutput:
-    """gen_pp_box, gen_pp_shape, gen_column_strict and gen_strict_tableaux
-    wrap kernel rows without validating them: every member must be what
-    the validating constructor builds from its rows.
+    """Every generator but gen_matrix_images wraps what it builds without
+    validating it: every member must be what the validating constructor
+    builds from its rows, parts, letters or entries.
     """
 
     @staticmethod
@@ -136,6 +136,24 @@ class TestTrustedOutput:
         for n in range(5):
             for lam in gen_partitions_in_box(n, 4):
                 self.assert_as_validated(list(gen_strict_tableaux(lam, n)))
+
+    def test_partitions_words_and_column_sum_matrices(self):
+        for k, n in product(range(4), repeat=2):
+            for lam in gen_partitions_in_box(k, n):
+                checked = Partition(lam.parts)
+                assert lam.parts == checked.parts and lam == checked
+                assert hash(lam) == hash(checked)
+        for n, m in product(range(4), repeat=2):
+            for w in gen_words(n, m):
+                checked = Word(w.letters, m)
+                assert w.letters == checked.letters and w == checked
+                assert hash(w) == hash(checked)
+        for n in range(4):
+            for alpha in [(), (0,), (2,), (2, 1), (0, 3, 1)]:
+                for D in gen_matrices_column_sums(n, alpha):
+                    checked = NMatrix(D.entries, n, len(alpha))
+                    assert D.entries == checked.entries and D == checked
+                    assert hash(D) == hash(checked)
 
 
 class TestShapeFillings:

@@ -93,6 +93,11 @@ class TestVarTable:
         with pytest.raises(TypeError):
             VarTable([("x", arity)])
 
+    @pytest.mark.parametrize("name", [None, 3, b"x"])
+    def test_family_name_must_be_a_string(self, name):
+        with pytest.raises(TypeError):
+            VarTable([(name, 1)])
+
 
 class TestTruncation:
     TERMS = {(1, 2): 1, (2, 2): 3, (9, 1): -2, (0, 2): 5}
@@ -106,6 +111,11 @@ class TestTruncation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Truncation(-1)
+
+    @pytest.mark.parametrize("cap", [2.5, "2", None])
+    def test_cap_must_be_an_integer(self, cap):
+        with pytest.raises(TypeError):
+            Truncation(cap)
 
 
 class TestArithmetic:
