@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from importlib import resources
 from operator import add
-from typing import Callable, Iterator, Sequence
 
 from .bijection import greene_shape, phi, phi_inverse, \
     strict_tableau_to_word, word_to_strict_tableau
@@ -42,21 +41,42 @@ from .symfun import descent_monomial, family_vars, g_combinatorial, \
     g_refined, ones, q_powers, schur_specialized, square_free_coefficient
 
 
-@dataclass
 class CheckResult:
     """Outcome of one identity check: pass/fail plus the first differing
-    monomial when the two sides disagree.
+    monomial when the two sides disagree.  Records compare by value and
+    pickle, so a process pool can return them.
     """
 
-    check_name: str
-    parameters: dict
-    passed: bool
-    lhs_summary: str
-    rhs_summary: str
-    first_diff: tuple[str, str, str] | None
-    elapsed: float
-    notes: list[str] = field(default_factory=list)
-    digest: dict[str, str] | None = None
+    __slots__ = ("check_name", "parameters", "passed", "lhs_summary",
+                 "rhs_summary", "first_diff", "elapsed", "notes", "digest")
+
+    def __init__(self, check_name: str, parameters: dict, passed: bool,
+                 lhs_summary: str, rhs_summary: str,
+                 first_diff: tuple[str, str, str] | None, elapsed: float,
+                 notes: list[str] | None = None,
+                 digest: dict[str, str] | None = None):
+        self.check_name = check_name
+        self.parameters = parameters
+        self.passed = passed
+        self.lhs_summary = lhs_summary
+        self.rhs_summary = rhs_summary
+        self.first_diff = first_diff
+        self.elapsed = elapsed
+        self.notes = [] if notes is None else notes
+        self.digest = digest
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"CheckResult({fields})"
 
     def to_json(self) -> dict:
         return {
@@ -128,7 +148,7 @@ def _build(name: str, params: dict, pairs, t0: float,
         rhs_summary="; ".join(rhs_bits),
         first_diff=first_diff,
         elapsed=time.perf_counter() - t0,
-        notes=notes or [],
+        notes=notes,
         digest=digest,
     )
 
@@ -765,8 +785,9 @@ def work(name: str, params: dict) -> int:
 
 def load_grids() -> dict:
     """The versioned parameter grids for the run_all levels."""
-    text = resources.files("ppbij").joinpath("verify_grids.json").read_text()
-    return json.loads(text)
+    grids = os.path.join(os.path.dirname(__file__), "verify_grids.json")
+    with open(grids, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _run_entry(entry: dict) -> CheckResult:

@@ -18,7 +18,6 @@ cheap to work out.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -373,6 +372,9 @@ def cmd_verify(args) -> int:
     else:
         if args.name not in CHECKS:
             raise UsageError(f"unknown check {args.name!r}")
+        # imported here, not with the module: inspect pulls in ast, dis
+        # and tokenize, which only this branch needs
+        import inspect
         accepted = inspect.signature(CHECKS[args.name]).parameters
         mapping = {
             "k": args.k, "n": args.n, "m": args.m, "N": args.N,

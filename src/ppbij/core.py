@@ -7,8 +7,9 @@ elements and dictionary keys during exhaustive enumeration.
 
 Validation is a boundary.  Three kinds of value are built by the
 validating public constructors, which check their input with builtin
-passes and read each entry with `operator.index`, so that a float or a
-numeric string raises TypeError instead of being truncated:
+passes and read each entry, and an `NMatrix`'s dimensions and a `Word`'s
+alphabet size, with `operator.index`, so that a float or a numeric
+string raises TypeError instead of being truncated:
 
 - public, JSON and CLI input;
 - the inverse-map images, built by `bijection.phi_inverse` and
@@ -27,16 +28,16 @@ by the private classmethods `PlanePartition._from_rows`,
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import compress, count, zip_longest
 from operator import gt, index, lt, mul
-from typing import Iterable, Iterator, NamedTuple
 
 
-class Cell(NamedTuple):
+class Cell(namedtuple("Cell", "i j")):
     """A 1-based (row, column) position."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
 class Partition:
@@ -316,6 +317,7 @@ class NMatrix:
             n_rows = len(rows)
         if n_cols is None:
             n_cols = len(rows[0]) if rows else 0
+        n_rows, n_cols = index(n_rows), index(n_cols)
         if len(rows) != n_rows or \
                 list(map(len, rows)).count(n_cols) != len(rows):
             raise ValueError("ragged or mis-sized matrix")
@@ -371,6 +373,7 @@ class Word:
 
     def __init__(self, letters: Iterable[int], m: int):
         letters = tuple(map(index, letters))
+        m = index(m)
         if m < 0:
             raise ValueError("alphabet size must be nonnegative")
         if letters and not 1 <= min(letters) <= max(letters) <= m:

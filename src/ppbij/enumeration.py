@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from operator import mul
-from typing import Callable, Iterator, Sequence
 
 from . import kernels
 from .bijection import phi_inverse

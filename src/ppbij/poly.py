@@ -14,9 +14,8 @@ without a second validation (`MultiPoly._from_terms`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from operator import add, index
-from typing import Iterable, Mapping, Sequence
 
 
 class VarTable:
@@ -81,19 +80,31 @@ class VarTable:
         return out
 
 
-@dataclass(frozen=True)
 class Truncation:
     """Degree window for series expansions: a cap on the degree over one
     family's variables, or over every variable when `family` is None.
     """
 
-    cap: int
-    family: str | None = None
+    __slots__ = ("cap", "family")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cap", index(self.cap))
-        if self.cap < 0:
+    def __init__(self, cap: int, family: str | None = None):
+        cap = index(cap)
+        if cap < 0:
             raise ValueError("cap must be nonnegative")
+        if family is not None and not isinstance(family, str):
+            raise TypeError("family must be a string or None")
+        self.cap = cap
+        self.family = family
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Truncation) and \
+            (self.cap, self.family) == (other.cap, other.family)
+
+    def __hash__(self) -> int:
+        return hash((self.cap, self.family))
+
+    def __repr__(self) -> str:
+        return f"Truncation(cap={self.cap!r}, family={self.family!r})"
 
     def variables(self, table: VarTable) -> slice:
         """The variables whose degree the cap bounds."""

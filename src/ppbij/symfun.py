@@ -11,8 +11,8 @@ VarTable is always passed first, so empty value lists need no special case.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from itertools import chain
-from typing import Callable, Sequence
 
 from .core import Partition, PlanePartition
 from .enumeration import column_strict_contents, gen_pp_shape

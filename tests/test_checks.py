@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import pickle
 import sys
 from collections import Counter
 
@@ -288,6 +289,21 @@ class TestResultObject:
     def test_failure_carries_diff(self):
         r = CheckResult("x", {}, False, "a", "b", ("s:q", "1", "2"), 0.1)
         assert r.to_json()["first_diff"] == ["s:q", "1", "2"]
+
+    def test_record_is_a_value(self):
+        # --workers sends records back from the pool by pickling
+        r = CheckResult("x", {"n": 2}, False, "a", "b", ("s:q", "1", "2"),
+                        0.1, notes=["why"], digest={"lhs": "0", "rhs": "1"})
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert r == CheckResult(
+            check_name="x", parameters={"n": 2}, passed=False,
+            lhs_summary="a", rhs_summary="b", first_diff=("s:q", "1", "2"),
+            elapsed=0.1, notes=["why"], digest={"lhs": "0", "rhs": "1"})
+        assert r != CheckResult("x", {"n": 2}, True, "a", "b", None, 0.1)
+        fresh = [CheckResult("x", {}, True, "", "", None, 0.0)
+                 for _ in range(2)]
+        assert fresh[0].notes == [] and fresh[0].notes is not fresh[1].notes
+        assert fresh[0].digest is None
 
     def test_digest_pins_coefficients(self):
         # 1 + 2q and 1 + 3q have the same term count: only the digest

@@ -1,7 +1,11 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from ppbij.cli import main
 from ppbij.core import PlanePartition, Word
 
 GOLDEN_PP = "[[4,4,2],[4,2,1],[2,2]]"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -82,6 +87,18 @@ class TestMap:
         assert code == 2
         assert out == ""
         assert what in err and "integer" in err
+
+    @pytest.mark.parametrize("matrix", [
+        '{"rows": 2.0, "cols": 2, "data": [[1, 0], [0, 1]]}',
+        '{"rows": 2, "cols": "2", "data": [[1, 0], [0, 1]]}',
+    ], ids=["float-rows", "string-cols"])
+    def test_non_integral_dimension_exit_2(self, capsys, matrix):
+        # the dimensions are read like the entries: refused as input, not
+        # left to raise a TypeError inside the inverse map
+        code, out, err = run(capsys, "map", "inv", "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert "not an N-matrix" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["map", "word", "--m", "3"], ["greene", "--m", "3"]],
@@ -421,3 +438,19 @@ class TestUsage:
         code, out, _ = run(capsys, "stats", "--json")
         assert code == 0
         assert json.loads(out)["volume"] == 21
+
+
+class TestStartUp:
+    def test_imports_only_what_a_run_executes(self):
+        # -S: a site hook (a .pth file) that imports typing at start-up
+        # would otherwise hide a module that ppbij itself loads
+        code = ("import sys, ppbij.checks, ppbij.cli; "
+                "ppbij.checks.load_grids(); print(*sorted(sys.modules))")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "ppbij.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "typing",
+                             "importlib.resources"}

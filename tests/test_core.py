@@ -344,6 +344,7 @@ def nmatrix_reference(entries, n_rows=None, n_cols=None):
         n_rows = len(rows)
     if n_cols is None:
         n_cols = len(rows[0]) if rows else 0
+    n_rows, n_cols = index(n_rows), index(n_cols)
     if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
         raise ValueError("ragged or mis-sized matrix")
     if any(v < 0 for r in rows for v in r):
@@ -356,7 +357,7 @@ def word_reference(letters, m):
     reference: the stored letters, or the same exception.
     """
     letters = tuple(index(v) for v in letters)
-    if m < 0:
+    if index(m) < 0:
         raise ValueError("alphabet size must be nonnegative")
     if any(not 1 <= v <= m for v in letters):
         raise ValueError("letter out of alphabet range")
@@ -378,6 +379,7 @@ class TestConstructorsMatchReferences:
         ([[-1]],), ([[0, 2], [1, -3]],), ([[1, 2], [3]], None, 3),
         ([["x"]],), ([[None]],), ([[1.5, "2"]],), ([[1, 2], [3, 4]], 2, 2),
         ([[-1, "x"]],), ([[-1], [2, 3]],), ([],), ([[0]], 1, 1),
+        ([[1, 0], [0, 1]], 2.0, 2), ([[1]], 1, "1"), ([[1.5]], 1.0),
     ])
     def test_nmatrix(self, args):
         expected = raised_or_value(nmatrix_reference, *args)
@@ -387,7 +389,7 @@ class TestConstructorsMatchReferences:
     @pytest.mark.parametrize("letters, m", [
         ([1, 5], 4), ([0], 2), ([1], 0), ([], 0), ([], -1), ([3], -1),
         (["x"], 3), ([None], 3), ([2.0, "3"], 3), ([3, 1, 2], 3),
-        ([-1, 2], 3), ([1, 2, 4, 3], 3),
+        ([-1, 2], 3), ([1, 2, 4, 3], 3), ([1, 2], 2.0), ([1.5], "2"),
     ])
     def test_word(self, letters, m):
         expected = raised_or_value(word_reference, letters, m)
@@ -417,6 +419,15 @@ class TestNMatrix:
     def test_json_roundtrip(self):
         D = NMatrix([[0, 1], [2, 0]])
         assert NMatrix.from_json(D.to_json()) == D
+
+    @pytest.mark.parametrize("rows, cols",
+                             [(2.0, 2), (2, 2.0), ("2", 2), (2, "2")])
+    def test_json_dimensions_must_be_integers(self, rows, cols):
+        # read with operator.index like the entries, so a float dimension
+        # is refused here rather than failing later in a kernel
+        with pytest.raises(TypeError):
+            NMatrix.from_json({"rows": rows, "cols": cols,
+                               "data": [[1, 0], [0, 1]]})
 
 
 class TestWord:

@@ -117,6 +117,19 @@ class TestTruncation:
         with pytest.raises(TypeError):
             Truncation(cap)
 
+    @pytest.mark.parametrize("family", [5, ("q",), b"q"])
+    def test_family_must_be_a_string(self, family):
+        # refused here, as VarTable refuses a family name that is not a
+        # string, instead of raising KeyError in `variables`
+        with pytest.raises(TypeError):
+            Truncation(3, family)
+
+    def test_value_equality_and_hash(self):
+        assert Truncation(3, "q") == Truncation(3, family="q")
+        assert Truncation(3) != Truncation(3, "q")
+        assert Truncation(3) != Truncation(4)
+        assert len({Truncation(3), Truncation(3), Truncation(3, "q")}) == 2
+
 
 class TestArithmetic:
     @given(poly_strategy(), poly_strategy(), poly_strategy())
