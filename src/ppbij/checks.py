@@ -26,7 +26,6 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from operator import add
 
 from .bijection import greene_shape, phi, phi_inverse, \
@@ -94,6 +93,8 @@ class CheckResult:
 
 def _poly_diff(label: str, lhs: MultiPoly, rhs: MultiPoly):
     """First differing monomial (ascending graded-lex), or None."""
+    if lhs.terms == rhs.terms:
+        return None
     exps = sorted(set(lhs.terms) | set(rhs.terms), key=lambda e: (sum(e), e))
     names = lhs.table.var_names()
     for exp in exps:
@@ -206,16 +207,25 @@ def _box_exponents(k: int, n: int, m: int) -> list[tuple[int, int]]:
             for l in range(1, m + 1)]
 
 
-def macmahon_count(k: int, n: int, m: int) -> Fraction:
+def macmahon_count(k: int, n: int, m: int) -> int:
     """The number of plane partitions in the k x n x m box, from
     MacMahon's product formula prod (i+j+l-1)/(i+j+l-2).
 
-    Kept as a Fraction so that a non-integer product shows up as a
-    mismatch in check_macmahon_box instead of being rounded away.
+    The numerators and the denominators are multiplied as integers and
+    divided exactly.  A non-integer quotient comes back as a Fraction,
+    so that it shows up as a mismatch in check_macmahon_box instead of
+    being rounded away.
     """
-    count = Fraction(1)
+    num = den = 1
     for a, b in _box_exponents(k, n, m):
-        count *= Fraction(a, b)
+        num *= a
+        den *= b
+    count, rest = divmod(num, den)
+    if rest:
+        # imported here, not with the module: fractions loads decimal
+        # and numbers, which only a wrong product needs
+        from fractions import Fraction
+        return Fraction(num, den)
     return count
 
 

@@ -417,20 +417,7 @@ def cmd_verify(args) -> int:
 # -- argument parsing --------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ppbij",
-        description="Plane partitions, the descent-level-count bijection, "
-                    "and exact identity verification.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of text")
-        p.add_argument("--unsafe-no-caps", action="store_true",
-                       help="disable the parameter size caps")
-
-    p = sub.add_parser("map", help="apply the bijection or the word map")
+def _map_arguments(p):
     p.add_argument("direction", choices=["phi", "inv", "word"])
     p.add_argument("--pp", help="plane partition as inline JSON rows")
     p.add_argument("--matrix", help="matrix as inline JSON")
@@ -438,18 +425,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="word as a digit string")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    common(p)
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("stats", help="statistics table of a plane partition")
+
+def _stats_arguments(p):
     p.add_argument("--pp", help="plane partition as inline JSON rows")
     p.add_argument("--input", help="path to a JSON input file")
     p.add_argument("--m", type=int, help="value range for column counts")
-    common(p)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("enumerate", help="count, list, or build a "
-                                         "generating polynomial")
+
+def _enumerate_arguments(p):
     p.add_argument("family", choices=["box", "shape", "st", "words"])
     p.add_argument("dims", type=int, nargs="*",
                    help="box dimensions k n m (family 'box')")
@@ -460,27 +444,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gf", metavar="VAR",
                    help="print the generating polynomial of --stat")
     p.add_argument("--list", action="store_true", help="list the family")
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("dalpha", help="descent enumeration count for a "
-                                      "content vector")
+
+def _dalpha_arguments(p):
     p.add_argument("--alpha", help="content vector, comma-separated")
     p.add_argument("--k", type=int, help="row length bound (omit for "
                                          "unbounded)")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    common(p)
-    p.set_defaults(func=cmd_dalpha)
 
-    p = sub.add_parser("greene", help="tail subsequence lengths and the "
-                                      "tableau shape of a word")
+
+def _greene_arguments(p):
     p.add_argument("--w", help="word as a digit string")
     p.add_argument("--m", type=int)
-    common(p)
-    p.set_defaults(func=cmd_greene)
 
-    p = sub.add_parser("verify", help="run identity checks")
+
+def _verify_arguments(p):
     p.add_argument("name", help="check name or 'all'")
     p.add_argument("--level", default="small", choices=["small", "full"])
     p.add_argument("--workers", type=int, default=1)
@@ -491,14 +470,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["entries", "rows"])
     p.add_argument("--bound", type=int)
     p.add_argument("--shape", help="partition, comma-separated")
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
+
+# (name, help, function adding its arguments, handler) per subcommand,
+# in the order of the top-level help
+_SUBCOMMANDS = (
+    ("map", "apply the bijection or the word map", _map_arguments, cmd_map),
+    ("stats", "statistics table of a plane partition", _stats_arguments,
+     cmd_stats),
+    ("enumerate", "count, list, or build a generating polynomial",
+     _enumerate_arguments, cmd_enumerate),
+    ("dalpha", "descent enumeration count for a content vector",
+     _dalpha_arguments, cmd_dalpha),
+    ("greene", "tail subsequence lengths and the tableau shape of a word",
+     _greene_arguments, cmd_greene),
+    ("verify", "run identity checks", _verify_arguments, cmd_verify),
+)
+# the subcommands as the usage line of the full parser lists them
+_NAMES = "{" + ",".join(name for name, *_ in _SUBCOMMANDS) + "}"
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`: with only the subcommand that argv[0]
+    names, or with all of them when argv[0] names none (no argument,
+    -h, an unknown name).  argparse builds a help formatter, which reads
+    the terminal size, for every argument it adds, so a run builds only
+    the parser it uses; the usage lines stay those of the full parser.
+    """
+    named = [c for c in _SUBCOMMANDS if argv and c[0] == argv[0]]
+    parser = argparse.ArgumentParser(
+        prog="ppbij",
+        description="Plane partitions, the descent-level-count bijection, "
+                    "and exact identity verification.")
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=_NAMES if named else None)
+    for name, help_, add_arguments, handler in named or _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_)
+        add_arguments(p)
+        p.add_argument("--json", action="store_true",
+                       help="emit JSON instead of text")
+        p.add_argument("--unsafe-no-caps", action="store_true",
+                       help="disable the parameter size caps")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,6 +6,7 @@ carries one, using wall-clock time around the relevant computation.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -166,6 +167,7 @@ def test_14_mutation_sensitivity(monkeypatch):
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _verify_all_matches_golden(level: str, *python_flags: str):
@@ -173,11 +175,16 @@ def _verify_all_matches_golden(level: str, *python_flags: str):
     flags, and compare every record, minus its `elapsed`, with the
     committed golden file line by line.
     """
+    # the child finds ppbij in this checkout's src whether or not the
+    # package is installed or PYTHONPATH is set
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, *python_flags, "-m", "ppbij.cli", "verify", "all",
          "--level", level, "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
     records = []

@@ -47,6 +47,17 @@ class TestIndividualChecks:
     def test_macmahon(self):
         assert check_macmahon_box(2, 2, 2).passed
 
+    def test_macmahon_non_integer_count_fails(self, monkeypatch):
+        # a factor of degree past the box volume leaves the truncated
+        # q-polynomial alone but makes the count 20 * 10/9, which must
+        # show as a mismatch, not be rounded to an integer
+        exps = checks._box_exponents
+        monkeypatch.setattr(checks, "_box_exponents",
+                            lambda k, n, m: exps(k, n, m) + [(10, 9)])
+        r = check_macmahon_box(2, 2, 2)
+        assert not r.passed
+        assert r.first_diff == ("count", "20", "200/9")
+
     def test_infinite_volume(self):
         assert check_infinite_volume(4).passed
         assert check_infinite_volume(0).passed

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -453,4 +454,45 @@ class TestStartUp:
         loaded = set(proc.stdout.split())
         assert "ppbij.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "typing",
-                             "importlib.resources"}
+                             "importlib.resources", "fractions", "decimal",
+                             "numbers"}
+
+
+SUBCOMMANDS = ["map", "stats", "enumerate", "dalpha", "greene", "verify"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--help"], ["-h", "verify"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        ["map"], ["verify"], ["verify", "nope"],
+        ["verify", "all", "--bogus"], ["verify", "all", "extra"],
+        ["verify", "all", "--level", "huge"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_output_of_the_full_parser(self, capsys, monkeypatch, argv):
+        # argparse wraps help and usage to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run(capsys, *argv)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda _: build([]))
+        assert got == run(capsys, *argv)
+
+    def test_builds_only_the_named_subcommand(self):
+        def names(parser):
+            sub, = (a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+            return list(sub.choices)
+
+        assert names(cli._build_parser(["verify", "all"])) == ["verify"]
+        assert names(cli._build_parser([])) == SUBCOMMANDS
+        assert names(cli._build_parser(["-h", "verify"])) == SUBCOMMANDS
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        seen = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda argv: seen.append(argv) or build(argv))
+        monkeypatch.setattr(sys, "argv", ["ppbij", "verify", "nope"])
+        assert main() == 2
+        assert seen == [["verify", "nope"]]
+        assert "unknown check 'nope'" in capsys.readouterr().err
