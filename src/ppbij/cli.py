@@ -34,20 +34,24 @@ from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
 # Two kinds of caps, lifted by --unsafe-no-caps.  Per-parameter caps
 # keep each work model cheap to evaluate: box sides, shape rows and widths
 # and --bound up to 5 (k is also the size of the Schur determinants),
-# degree windows up to 12, the --n of `enumerate words` and of `verify`
-# up to 10, and up to 8 variables in gexp (9 take over a minute).  The
-# word given to `map word` or `greene` has no length cap: its letters are
-# the digits 1-9, so each letter takes at most 9 steps.
+# degree windows and every --N up to 12, the --n of `enumerate words` and
+# of `verify` up to 10; gexp's variables, by default the shape's size, are
+# left to the work cap.  The word given to `map word` or `greene` has no
+# length cap: its letters are the digits 1-9, so each takes at most 9 steps.
 CAP_BOX = 5
 CAP_N = 12
 CAP_SMALL_N = 10
-CAP_GEXP_N = 8
 # One work cap over the objects a command builds or the entries it
 # prints: `checks.WORK` for `verify NAME`, its own count for each other
 # command.  It admits the 5^8 words of `enumerate words --n 8 --m 5`.
 # A unit costs 1-25 us, so an admitted command runs for at most about
 # 8 s.
 CAP_WORK = 400_000
+
+# The flag of `verify NAME` that sets each check parameter.  `verify NAME`
+# refuses the flags its check does not take, and `verify all` every one.
+VERIFY_FLAGS = {"k": "k", "n": "n", "m": "m", "N": "N", "N_max": "N",
+                "n_max": "N", "mode": "mode", "bound": "bound", "lam": "shape"}
 
 
 class UsageError(Exception):
@@ -58,7 +62,7 @@ class DomainError(Exception):
     """Structurally valid input outside an operation's domain: exit 1."""
 
 
-def _check_caps(args, dims=(), N=None, n=None, n_max=None, work=None):
+def _check_caps(args, dims=(), N=None, n=None, work=None):
     """Raise UsageError for the first negative parameter, and for the
     first parameter over its cap unless --unsafe-no-caps was given.
     `dims` are (name, value) pairs capped as box sides.  `work` is a
@@ -66,13 +70,12 @@ def _check_caps(args, dims=(), N=None, n=None, n_max=None, work=None):
     builds, evaluated only once every parameter is within its cap.
     """
     limits = [*((name, value, CAP_BOX) for name, value in dims),
-              ("N", N, CAP_N), ("n", n, CAP_SMALL_N),
-              ("n_max", n_max, CAP_GEXP_N)]
+              ("N", N, CAP_N), ("n", n, CAP_SMALL_N)]
     for what, value, _ in limits:
         if value is not None and value < 0:
             raise UsageError(f"{what}={value} is negative; --unsafe-no-caps "
                              "does not lift this")
-    if getattr(args, "unsafe_no_caps", False):
+    if args.unsafe_no_caps:
         return
 
     def cap(what, value, limit):
@@ -146,6 +149,19 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     return vec
 
 
+def _parse_word(args, command: str) -> Word:
+    if args.w is None or args.m is None:
+        raise UsageError(f"{command} needs --w and --m")
+    try:
+        return Word.from_digits(args.w, args.m)
+    except ValueError as exc:
+        raise UsageError(f"bad word: {exc}") from None
+
+
+def _flags(names) -> str:
+    return ", ".join(f"--{name}" for name in names)
+
+
 def _emit(args, text_lines, json_obj):
     if args.json:
         print(json.dumps(json_obj, sort_keys=False))
@@ -181,16 +197,8 @@ def cmd_map(args) -> int:
             raise DomainError(str(exc)) from None
         _emit(args, [json.dumps(pp.to_json())], pp.to_json())
     elif args.direction == "word":
-        if args.w is None or args.m is None:
-            raise UsageError("map word needs --w and --m")
-        try:
-            w = Word.from_digits(args.w, args.m)
-        except ValueError as exc:
-            raise UsageError(f"bad word: {exc}") from None
-        st = word_to_strict_tableau(w)
+        st = word_to_strict_tableau(_parse_word(args, "map word"))
         _emit(args, [json.dumps(st.to_json())], st.to_json())
-    else:
-        raise UsageError(f"unknown direction {args.direction!r}")
     return 0
 
 
@@ -224,6 +232,8 @@ _STATS = {
 
 
 def cmd_enumerate(args) -> int:
+    if args.gf == "":
+        raise UsageError("--gf needs a variable name")
     if args.gf is not None and args.stat is None:
         raise UsageError("--gf needs --stat")
     if args.stat is not None and args.gf is None:
@@ -233,6 +243,8 @@ def cmd_enumerate(args) -> int:
     if args.gf is not None and args.family == "words":
         raise UsageError("enumerate words takes no --gf: the statistics "
                          "are of plane partitions")
+    # a plane partition lists as its rows, printed as JSON
+    to_json, to_text = PlanePartition.to_json, json.dumps
     if args.family == "box":
         if len(args.dims) != 3:
             raise UsageError("enumerate box needs three dimensions: k n m")
@@ -272,17 +284,9 @@ def cmd_enumerate(args) -> int:
         _check_caps(args, dims=[("m", args.m)], n=args.n,
                     work=(f"the words of length {args.n} over {args.m} "
                           "letters", lambda: args.m ** args.n))
-        ws = gen_words(args.n, args.m)
-        if args.list:
-            ws = list(ws)
-            _emit(args, ["".join(map(str, w.letters)) for w in ws],
-                  [list(w.letters) for w in ws])
-        else:
-            count = sum(1 for _ in ws)
-            _emit(args, [str(count)], {"count": count})
-        return 0
-    else:
-        raise UsageError(f"unknown family {args.family!r}")
+        items = gen_words(args.n, args.m)
+        # a word lists as its letters, printed as a digit string
+        to_json, to_text = list, lambda w: "".join(map(str, w))
 
     if args.gf is not None:
         coeffs = Counter(map(_STATS[args.stat], items))
@@ -299,9 +303,8 @@ def cmd_enumerate(args) -> int:
               {"var": var, "coefficients": {str(d): coeffs[d]
                                             for d in sorted(coeffs)}})
     elif args.list:
-        items = list(items)
-        _emit(args, [json.dumps(pp.to_json()) for pp in items],
-              [pp.to_json() for pp in items])
+        listed = [to_json(item) for item in items]
+        _emit(args, map(to_text, listed), listed)
     else:
         count = sum(1 for _ in items)
         _emit(args, [str(count)], {"count": count})
@@ -332,12 +335,7 @@ def cmd_dalpha(args) -> int:
 
 
 def cmd_greene(args) -> int:
-    if args.w is None or args.m is None:
-        raise UsageError("greene needs --w and --m")
-    try:
-        w = Word.from_digits(args.w, args.m)
-    except ValueError as exc:
-        raise UsageError(f"bad word: {exc}") from None
+    w = _parse_word(args, "greene")
     _check_caps(args, work=("the tail lengths L_1..L_m (m of them)",
                             lambda: w.m))
     shape = list(greene_shape(w).parts)
@@ -367,7 +365,11 @@ def _render_result(r: CheckResult, as_json: bool) -> str:
 def cmd_verify(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
+    given = [flag for flag in dict.fromkeys(VERIFY_FLAGS.values())
+             if getattr(args, flag) is not None]
     if args.name == "all":
+        if given:
+            raise UsageError("verify all takes no " + _flags(given))
         results = run_all(args.level, workers=args.workers)
     else:
         if args.name not in CHECKS:
@@ -375,32 +377,25 @@ def cmd_verify(args) -> int:
         # imported here, not with the module: inspect pulls in ast, dis
         # and tokenize, which only this branch needs
         import inspect
-        accepted = inspect.signature(CHECKS[args.name]).parameters
-        mapping = {
-            "k": args.k, "n": args.n, "m": args.m, "N": args.N,
-            "N_max": args.N, "n_max": args.N, "mode": args.mode,
-            "bound": args.bound,
-            "lam": _parse_shape(args.shape) if args.shape else None,
-        }
-        supplied = {key: value for key, value in mapping.items()
-                    if key in accepted and value is not None}
-        missing = [p for p, param in accepted.items()
-                   if param.default is param.empty and p not in supplied]
+        params = inspect.signature(CHECKS[args.name]).parameters
+        flags = {p: VERIFY_FLAGS[p] for p in params if p in VERIFY_FLAGS}
+        ignored = [flag for flag in given if flag not in flags.values()]
+        if ignored:
+            raise UsageError(f"verify {args.name} takes no {_flags(ignored)}")
+        supplied = {p: getattr(args, flag) for p, flag in flags.items()
+                    if flag in given}
+        missing = sorted(flag for p, flag in flags.items() if p not in supplied
+                         and params[p].default is params[p].empty)
         if missing:
-            raise UsageError(
-                f"check {args.name!r} needs: {', '.join(sorted(missing))}")
+            raise UsageError(f"check {args.name!r} needs: {_flags(missing)}")
         # k, m and --bound are box sides; n, a row count or the word
         # length of greene and frobenius, has a cap of its own
-        dims = [(p, supplied.get(p)) for p in ("k", "m", "bound")]
-        lam = supplied.pop("lam", None)
-        if lam is not None:
+        dims = [("k", args.k), ("m", args.m), ("bound", args.bound)]
+        if "lam" in supplied:
+            lam = _parse_shape(supplied.pop("lam"))
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
             supplied["lambda"] = list(lam.parts)  # as in the grids
-        _check_caps(args, dims=dims,
-                    N=supplied.get("N", supplied.get("N_max")),
-                    n=supplied.get("n"),
-                    n_max=None if lam is None
-                    else supplied.get("n_max", lam.size()),
+        _check_caps(args, dims=dims, N=args.N, n=args.n,
                     work=(f"verify {args.name} (checks.WORK)",
                           lambda: work(args.name, supplied)))
         results = [_run_entry({"check": args.name, "params": supplied})]

@@ -164,6 +164,9 @@ class TestEnumerate:
          "not a --list"),
         (["words", "--n", "2", "--m", "2", "--gf", "q", "--stat", "volume"],
          "enumerate words takes no --gf"),
+        # an empty variable name printed `1 + ` for the box 1 1 1
+        (["box", "1", "1", "1", "--gf", "", "--stat", "volume"],
+         "--gf needs a variable name"),
     ])
     def test_flags_it_would_ignore_are_refused(self, capsys, argv, message):
         code, out, err = run(capsys, "enumerate", *argv)
@@ -182,6 +185,15 @@ class TestEnumerate:
         assert out == ("[[4, 3, 2], [4, 1]]\n"
                        "[[4, 3, 1], [4, 2]]\n"
                        "[[4, 2, 1], [3, 2]]\n")
+
+    def test_words_listing(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "words", "--n", "2",
+                           "--m", "2", "--list")
+        assert code == 0 and out == "11\n12\n21\n22\n"
+        code, out, _ = run(capsys, "enumerate", "words", "--n", "2",
+                           "--m", "2", "--list", "--json")
+        assert code == 0
+        assert json.loads(out) == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
     def test_listing_sorted_stable(self, capsys):
         _, out1, _ = run(capsys, "enumerate", "box", "1", "2", "1", "--list")
@@ -255,6 +267,8 @@ class TestEnumerate:
         # C(21, 5) = 20,349 matrices
         (["verify", "multivariate", "--n", "4", "--m", "4", "--N", "8"],
          "1/1"),
+        # gexp's variables are left to the work cap
+        (["verify", "gexp", "--shape", "2,2", "--N", "9"], "1/1"),
     ])
     def test_work_caps_admit_small_instances(self, capsys, argv, out):
         code, got, _ = run(capsys, *argv)
@@ -374,25 +388,66 @@ class TestVerify:
     def test_missing_params_reported(self, capsys):
         code, _, err = run(capsys, "verify", "macmahon_box", "--k", "2")
         assert code == 2
-        assert "needs" in err
+        assert "check 'macmahon_box' needs: --m, --n\n" in err
+
+    @pytest.mark.parametrize("argv, flags", [
+        # the parameters lam and N_max are set by --shape and --N
+        (["gexp"], "--shape"),
+        (["dalpha", "--k", "2", "--n", "2", "--m", "2"], "--N"),
+        (["uh_restricted", "--N", "3"], "--bound, --mode"),
+    ])
+    def test_missing_params_name_their_flags(self, capsys, argv, flags):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"check {argv[0]!r} needs: {flags}\n" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["macmahon_box", "--k", "1", "--n", "1", "--m", "1", "--N", "5"],
+         "verify macmahon_box takes no --N"),
+        (["macmahon_box", "--k", "1", "--n", "1", "--m", "1", "--N", "5",
+          "--shape", "9,9"], "verify macmahon_box takes no --N, --shape"),
+        # the shape is refused before it is parsed
+        (["greene", "--n", "3", "--m", "3", "--shape", "x"],
+         "verify greene takes no --shape"),
+        (["gexp", "--shape", "2,1", "--mode", "rows"],
+         "verify gexp takes no --mode"),
+        (["all", "--k", "3"], "verify all takes no --k"),
+        (["all", "--level", "full", "--bound", "2", "--shape", "1"],
+         "verify all takes no --bound, --shape"),
+    ])
+    def test_flags_it_would_ignore_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("shape", ["6,6,6", "3,3,3"])
     def test_gexp_caps(self, capsys, shape):
+        # 3,3,3 has every part within the caps; its 9 variables are
+        # refused by the work cap
         code, _, err = run(capsys, "verify", "gexp", "--shape", shape)
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("N, message", [
+        ("13", "N=13 exceeds the cap 12"),
+        ("-3", "N=-3 is negative"),
+    ])
+    def test_gexp_N_is_checked_as_every_N(self, capsys, N, message):
+        code, _, err = run(capsys, "verify", "gexp", "--shape", "2,1",
+                           "--N", N)
+        assert code == 2 and message in err
 
     @pytest.mark.parametrize("entry", [
         e for level in ("small", "full") for e in load_grids()[level]],
         ids=lambda e: e["check"])
     def test_caps_admit_every_grid_entry(self, capsys, monkeypatch, entry):
-        flags = {"lambda": "--shape", "N_max": "--N", "n_max": "--N"}
         argv = ["verify", entry["check"]]
         for key, value in entry["params"].items():
-            if key != "scales":  # no flag sets it
+            key = "lam" if key == "lambda" else key  # the check's name
+            if key in cli.VERIFY_FLAGS:  # no flag sets scales
                 if isinstance(value, list):
                     value = ",".join(map(str, value))
-                argv += [flags.get(key, f"--{key}"), str(value)]
+                argv += [f"--{cli.VERIFY_FLAGS[key]}", str(value)]
         ran = []
 
         def stub(e):
