@@ -10,9 +10,10 @@ in a fixed order.
 Size caps: `verify NAME`, `enumerate`, `map inv` and `dalpha` count the
 objects they would build, and `map phi`, `stats` and `greene` the
 entries they would print, before building any, and refuse more than
-CAP_WORK of them; `verify NAME` takes the count from the check's model
-in `checks.WORK`.  Each parameter is capped too, so that the count stays
-cheap to work out.
+CAP_WORK of them; `verify NAME` takes the count from the work model of
+the check's spec, `checks.CHECKS[NAME]`, which also names the flags that
+set the check's parameters.  Each parameter is capped too, so that the
+count stays cheap to work out.
 """
 
 from __future__ import annotations
@@ -42,16 +43,21 @@ CAP_BOX = 5
 CAP_N = 12
 CAP_SMALL_N = 10
 # One work cap over the objects a command builds or the entries it
-# prints: `checks.WORK` for `verify NAME`, its own count for each other
-# command.  It admits the 5^8 words of `enumerate words --n 8 --m 5`.
+# prints: the check's work model for `verify NAME`, its own count for each
+# other command.  It admits the 5^8 words of `enumerate words --n 8 --m 5`.
 # A unit costs 1-25 us, so an admitted command runs for at most about
 # 8 s.
 CAP_WORK = 400_000
 
-# The flag of `verify NAME` that sets each check parameter.  `verify NAME`
-# refuses the flags its check does not take, and `verify all` every one.
-VERIFY_FLAGS = {"k": "k", "n": "n", "m": "m", "N": "N", "N_max": "N",
-                "n_max": "N", "mode": "mode", "bound": "bound", "lam": "shape"}
+# The options of `verify`: `verify all` takes --level and --workers, and
+# `verify NAME` the flags its check's spec names.  They are listed here,
+# not gathered from the specs, because `verify all` only calls the values
+# of `checks.CHECKS`, which a tracer may have wrapped.
+_VERIFY_OPTIONS = ("level", "workers", "k", "n", "m", "N", "mode",
+                   "bound", "shape")
+# The options that each direction of `map` reads.
+_MAP_OPTIONS = {"phi": ("pp", "input", "n", "m"),
+                "inv": ("matrix", "input"), "word": ("w", "m")}
 
 
 class UsageError(Exception):
@@ -162,6 +168,16 @@ def _flags(names) -> str:
     return ", ".join(f"--{name}" for name in names)
 
 
+def _refuse(args, command: str, options, takes) -> None:
+    """Raise UsageError naming the `options` given to `command` that it
+    does not take.
+    """
+    ignored = [name for name in options
+               if name not in takes and getattr(args, name) is not None]
+    if ignored:
+        raise UsageError(f"{command} takes no {_flags(ignored)}")
+
+
 def _emit(args, text_lines, json_obj):
     if args.json:
         print(json.dumps(json_obj, sort_keys=False))
@@ -174,6 +190,9 @@ def _emit(args, text_lines, json_obj):
 
 
 def cmd_map(args) -> int:
+    _refuse(args, f"map {args.direction}",
+            dict.fromkeys(name for names in _MAP_OPTIONS.values()
+                          for name in names), _MAP_OPTIONS[args.direction])
     if args.direction == "phi":
         pp = _parse_pp(_read_input(args, "pp"))
         if args.n is None or args.m is None:
@@ -363,40 +382,31 @@ def _render_result(r: CheckResult, as_json: bool) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    given = [flag for flag in dict.fromkeys(VERIFY_FLAGS.values())
-             if getattr(args, flag) is not None]
     if args.name == "all":
-        if given:
-            raise UsageError("verify all takes no " + _flags(given))
-        results = run_all(args.level, workers=args.workers)
+        _refuse(args, "verify all", _VERIFY_OPTIONS, ("level", "workers"))
+        if args.workers is not None and args.workers < 1:
+            raise UsageError("--workers must be at least 1")
+        results = run_all(args.level or "small", workers=args.workers or 1)
     else:
         if args.name not in CHECKS:
             raise UsageError(f"unknown check {args.name!r}")
-        # imported here, not with the module: inspect pulls in ast, dis
-        # and tokenize, which only this branch needs
-        import inspect
-        params = inspect.signature(CHECKS[args.name]).parameters
-        flags = {p: VERIFY_FLAGS[p] for p in params if p in VERIFY_FLAGS}
-        ignored = [flag for flag in given if flag not in flags.values()]
-        if ignored:
-            raise UsageError(f"verify {args.name} takes no {_flags(ignored)}")
-        supplied = {p: getattr(args, flag) for p, flag in flags.items()
-                    if flag in given}
-        missing = sorted(flag for p, flag in flags.items() if p not in supplied
-                         and params[p].default is params[p].empty)
+        params = {p.flag: p for p in CHECKS[args.name].params if p.flag}
+        _refuse(args, f"verify {args.name}", _VERIFY_OPTIONS, params)
+        missing = sorted(flag for flag, p in params.items()
+                         if getattr(args, flag) is None and p.default is None)
         if missing:
             raise UsageError(f"check {args.name!r} needs: {_flags(missing)}")
+        supplied = {p.key: getattr(args, flag) for flag, p in params.items()
+                    if getattr(args, flag) is not None}
         # k, m and --bound are box sides; n, a row count or the word
         # length of greene and frobenius, has a cap of its own
         dims = [("k", args.k), ("m", args.m), ("bound", args.bound)]
-        if "lam" in supplied:
-            lam = _parse_shape(supplied.pop("lam"))
+        if args.shape is not None:
+            lam = _parse_shape(args.shape)
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
-            supplied["lambda"] = list(lam.parts)  # as in the grids
+            supplied[params["shape"].key] = list(lam.parts)
         _check_caps(args, dims=dims, N=args.N, n=args.n,
-                    work=(f"verify {args.name} (checks.WORK)",
+                    work=(f"verify {args.name} (its work model)",
                           lambda: work(args.name, supplied)))
         results = [_run_entry({"check": args.name, "params": supplied})]
     passed = total = 0
@@ -456,8 +466,10 @@ def _greene_arguments(p):
 
 def _verify_arguments(p):
     p.add_argument("name", help="check name or 'all'")
-    p.add_argument("--level", default="small", choices=["small", "full"])
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--level", choices=["small", "full"],
+                   help="the grid of verify all (default: small)")
+    p.add_argument("--workers", type=int,
+                   help="processes of verify all (default: 1)")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)

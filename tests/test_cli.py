@@ -18,6 +18,7 @@ from ppbij.cli import main
 from ppbij.core import PlanePartition, Word
 
 GOLDEN_PP = "[[4,4,2],[4,2,1],[2,2]]"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -25,6 +26,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def verify_argv(entry) -> list[str]:
+    """`verify NAME` with the flag of each parameter of a grid entry that
+    its check's spec gives one (none sets superadditivity's scales).
+    """
+    argv = ["verify", entry["check"]]
+    for p in CHECKS[entry["check"]].params:
+        value = entry["params"].get(p.key)
+        if p.flag and value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            argv += [f"--{p.flag}", str(value)]
+    return argv
 
 
 class TestMap:
@@ -112,6 +127,19 @@ class TestMap:
         assert code == 2
         assert out == ""
         assert "bad word" in err and "ASCII digits" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["phi", "--pp", "[[1]]", "--n", "1", "--m", "1", "--w", "12"],
+         "map phi takes no --w"),
+        (["inv", "--matrix", '{"rows":1,"cols":1,"data":[[1]]}', "--pp",
+          "[[1]]", "--w", "3"], "map inv takes no --pp, --w"),
+        (["word", "--w", "12", "--m", "2", "--n", "2", "--input", "x.json"],
+         "map word takes no --input, --n"),
+    ], ids=["phi", "inv", "word"])
+    def test_flags_it_would_ignore_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "map", *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_json_roundtrips_schema(self, capsys):
         code, out, _ = run(capsys, "map", "phi", "--pp", GOLDEN_PP,
@@ -414,6 +442,13 @@ class TestVerify:
         (["all", "--k", "3"], "verify all takes no --k"),
         (["all", "--level", "full", "--bound", "2", "--shape", "1"],
          "verify all takes no --bound, --shape"),
+        (["macmahon_box", "--k", "1", "--n", "1", "--m", "1", "--level",
+          "full", "--workers", "3"],
+         "verify macmahon_box takes no --level, --workers"),
+        (["greene", "--n", "3", "--m", "3", "--level", "small"],
+         "verify greene takes no --level"),
+        (["gexp", "--shape", "2,1", "--workers", "1"],
+         "verify gexp takes no --workers"),
     ])
     def test_flags_it_would_ignore_are_refused(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
@@ -441,13 +476,7 @@ class TestVerify:
         e for level in ("small", "full") for e in load_grids()[level]],
         ids=lambda e: e["check"])
     def test_caps_admit_every_grid_entry(self, capsys, monkeypatch, entry):
-        argv = ["verify", entry["check"]]
-        for key, value in entry["params"].items():
-            key = "lam" if key == "lambda" else key  # the check's name
-            if key in cli.VERIFY_FLAGS:  # no flag sets scales
-                if isinstance(value, list):
-                    value = ",".join(map(str, value))
-                argv += [f"--{cli.VERIFY_FLAGS[key]}", str(value)]
+        argv = verify_argv(entry)
         ran = []
 
         def stub(e):
@@ -460,12 +489,24 @@ class TestVerify:
         assert code == 0, err
         assert len(ran) == 1
 
+    @pytest.mark.parametrize("entry, golden", [
+        pytest.param(entry, golden, id=entry["check"]) for entry, golden
+        in zip(load_grids()["small"],
+               (GOLDEN / "verify_small.jsonl").read_text().splitlines())])
+    def test_prints_the_record_of_verify_all(self, capsys, entry, golden):
+        # the flags its spec names give verify NAME the record that
+        # verify all writes for the grid entry
+        code, out, _ = run(capsys, *verify_argv(entry), "--json")
+        record = json.loads(out)
+        del record["elapsed"]
+        assert code == 0 and json.dumps(record) == golden
+
     def test_raising_check_is_a_fail_record(self, capsys, monkeypatch):
         # one check, like verify all, reports an exception as a FAIL
-        def boom(n, m):
+        def boom(word):
             raise RuntimeError("injected")
 
-        monkeypatch.setitem(CHECKS, "greene", boom)
+        monkeypatch.setattr("ppbij.checks.greene_shape", boom)
         code, out, err = run(capsys, "verify", "greene", "--n", "2",
                              "--m", "2")
         assert code == 1 and err == ""
