@@ -23,6 +23,10 @@ holds it, and those inside the base window are tallied twice
 Each record also carries a SHA-256 digest of each side's values, so a
 fault that keeps every term count but changes a coefficient still shows
 against a recorded run.
+
+`run_all` runs the grid of one level.  The levels are nested: the grids
+are one ordered list of entries, each naming the least level that runs
+it (`load_grids`).
 """
 
 from __future__ import annotations
@@ -47,42 +51,20 @@ from .symfun import descent_monomial, family_vars, g_combinatorial, \
     g_refined, ones, q_powers, schur_specialized, square_free_coefficient
 
 
-class CheckResult:
+class CheckResult(namedtuple(
+        "CheckResult", "check_name parameters passed lhs_summary rhs_summary "
+        "first_diff elapsed notes digest", defaults=(None, None))):
     """Outcome of one identity check: pass/fail plus the first differing
     monomial when the two sides disagree.  Records compare by value and
     pickle, so a process pool can return them.
     """
 
-    __slots__ = ("check_name", "parameters", "passed", "lhs_summary",
-                 "rhs_summary", "first_diff", "elapsed", "notes", "digest")
+    __slots__ = ()
 
-    def __init__(self, check_name: str, parameters: dict, passed: bool,
-                 lhs_summary: str, rhs_summary: str,
-                 first_diff: tuple[str, str, str] | None, elapsed: float,
-                 notes: list[str] | None = None,
-                 digest: dict[str, str] | None = None):
-        self.check_name = check_name
-        self.parameters = parameters
-        self.passed = passed
-        self.lhs_summary = lhs_summary
-        self.rhs_summary = rhs_summary
-        self.first_diff = first_diff
-        self.elapsed = elapsed
-        self.notes = [] if notes is None else notes
-        self.digest = digest
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CheckResult:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values()))
-        return f"CheckResult({fields})"
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # each record gets its own notes list
+        return self if self.notes is not None else self._replace(notes=[])
 
     def to_json(self) -> dict:
         return {
@@ -148,17 +130,9 @@ def _build(name: str, params: dict, pairs, t0: float,
                 first_diff = (label, str(lhs), str(rhs))
     digest = {"lhs": _side_digest((label, lhs) for label, lhs, _ in pairs),
               "rhs": _side_digest((label, rhs) for label, _, rhs in pairs)}
-    return CheckResult(
-        check_name=name,
-        parameters=params,
-        passed=first_diff is None,
-        lhs_summary="; ".join(lhs_bits),
-        rhs_summary="; ".join(rhs_bits),
-        first_diff=first_diff,
-        elapsed=time.perf_counter() - t0,
-        notes=notes,
-        digest=digest,
-    )
+    return CheckResult(name, params, first_diff is None, "; ".join(lhs_bits),
+                       "; ".join(rhs_bits), first_diff,
+                       time.perf_counter() - t0, notes, digest)
 
 
 # -- checks as data ----------------------------------------------------
@@ -870,11 +844,27 @@ def work(name: str, params: dict) -> int:
     return check.work(**check.arguments((), params))
 
 
+# the run_all levels, least first
+LEVELS = ("small", "full")
+_GRIDS = os.path.join(os.path.dirname(__file__), "verify_grids.json")
+
+
 def load_grids() -> dict:
-    """The versioned parameter grids for the run_all levels."""
-    grids = os.path.join(os.path.dirname(__file__), "verify_grids.json")
-    with open(grids, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The parameter grid of each run_all level, from one ordered list
+    of entries in `verify_grids.json`.  Each entry names the least level
+    that runs it: the levels are nested, so an entry of "small" is also
+    one of "full", at the same place in the order.
+    """
+    with open(_GRIDS, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    grids: dict[str, list] = {level: [] for level in LEVELS}
+    for entry in entries:
+        level = entry.pop("level", None)
+        if level not in LEVELS:
+            raise ValueError(f"grid entry {entry}: unknown level {level!r}")
+        for name in LEVELS[LEVELS.index(level):]:
+            grids[name].append(entry)
+    return grids
 
 
 def _run_entry(entry: dict) -> CheckResult:
@@ -888,15 +878,9 @@ def _run_entry(entry: dict) -> CheckResult:
     except Exception as exc:
         import traceback
         return CheckResult(
-            check_name=entry["check"],
-            parameters=dict(entry["params"]),
-            passed=False,
-            lhs_summary="",
-            rhs_summary="",
-            first_diff=None,
-            elapsed=time.perf_counter() - t0,
-            notes=[f"{type(exc).__name__}: {exc}", traceback.format_exc()],
-        )
+            entry["check"], dict(entry["params"]), False, "", "", None,
+            time.perf_counter() - t0,
+            [f"{type(exc).__name__}: {exc}", traceback.format_exc()])
 
 
 def run_all(level: str = "small", workers: int = 1) -> Iterator[CheckResult]:

@@ -26,7 +26,7 @@ from collections import Counter
 
 from .bijection import greene_shape, phi, phi_inverse, \
     word_to_strict_tableau
-from .checks import CHECKS, PER_MATRIX, CheckResult, _multisets, \
+from .checks import CHECKS, LEVELS, PER_MATRIX, CheckResult, _multisets, \
     _run_entry, macmahon_count, run_all, work
 from .core import NMatrix, Partition, PlanePartition, Word
 from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
@@ -137,17 +137,21 @@ def _parse_matrix(data) -> NMatrix:
         raise UsageError(f"not an N-matrix: {exc}") from None
 
 
+def _ints(text: str) -> list[int]:
+    """The comma-separated integers of `text`; none for ''."""
+    return [int(p) for p in text.split(",")] if text else []
+
+
 def _parse_shape(text: str) -> Partition:
     try:
-        parts = [int(p) for p in text.split(",") if p != ""]
-        return Partition(parts)
+        return Partition(_ints(text))
     except ValueError as exc:
         raise UsageError(f"bad shape {text!r}: {exc}") from None
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        vec = tuple(int(p) for p in text.split(",") if p != "")
+        vec = tuple(_ints(text))
     except ValueError as exc:
         raise UsageError(f"bad vector {text!r}: {exc}") from None
     if any(p < 0 for p in vec):
@@ -466,7 +470,7 @@ def _greene_arguments(p):
 
 def _verify_arguments(p):
     p.add_argument("name", help="check name or 'all'")
-    p.add_argument("--level", choices=["small", "full"],
+    p.add_argument("--level", choices=LEVELS,
                    help="the grid of verify all (default: small)")
     p.add_argument("--workers", type=int,
                    help="processes of verify all (default: 1)")

@@ -50,8 +50,9 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(index, parts))
-        if 0 in parts:
-            parts = tuple(filter(None, parts))
+        # trailing zeros are dropped; any other zero is out of order
+        while parts and not parts[-1]:
+            parts = parts[:-1]
         if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] < 0:

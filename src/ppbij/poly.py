@@ -14,6 +14,7 @@ without a second validation (`MultiPoly._from_terms`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, index
 
@@ -80,31 +81,20 @@ class VarTable:
         return out
 
 
-class Truncation:
+class Truncation(namedtuple("Truncation", "cap family", defaults=(None,))):
     """Degree window for series expansions: a cap on the degree over one
     family's variables, or over every variable when `family` is None.
     """
 
-    __slots__ = ("cap", "family")
+    __slots__ = ()
 
-    def __init__(self, cap: int, family: str | None = None):
+    def __new__(cls, cap: int, family: str | None = None):
         cap = index(cap)
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         if family is not None and not isinstance(family, str):
             raise TypeError("family must be a string or None")
-        self.cap = cap
-        self.family = family
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Truncation) and \
-            (self.cap, self.family) == (other.cap, other.family)
-
-    def __hash__(self) -> int:
-        return hash((self.cap, self.family))
-
-    def __repr__(self) -> str:
-        return f"Truncation(cap={self.cap!r}, family={self.family!r})"
+        return super().__new__(cls, cap, family)
 
     def variables(self, table: VarTable) -> slice:
         """The variables whose degree the cap bounds."""

@@ -18,7 +18,7 @@ from ppbij.bijection import greene_shape, phi, phi_inverse, \
 from ppbij.checks import check_cauchy_type, check_corner_volume, \
     check_dalpha, check_equidistribution, check_frobenius, check_gl, \
     check_greene, check_macmahon_box, check_multivariate, \
-    check_superadditivity, check_uh_des
+    check_superadditivity, check_uh_des, load_grids
 from ppbij.core import NMatrix, Partition, PlanePartition, Word
 from ppbij.enumeration import gen_partitions_in_box, gen_pp_box
 from ppbij.poly import MultiPoly, VarTable
@@ -170,10 +170,21 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _golden_records(level: str) -> list[str]:
+    """The golden records of a level: the lines of verify_full.jsonl at
+    the entries that the level runs, in order.
+    """
+    grids = load_grids()
+    lines = (GOLDEN_DIR / "verify_full.jsonl").read_text().splitlines()
+    assert len(lines) == len(grids["full"])
+    return [line for entry, line in zip(grids["full"], lines)
+            if entry in grids[level]]
+
+
 def _verify_all_matches_golden(level: str, *python_flags: str):
     """Run `verify all --json` at a level, under the given interpreter
     flags, and compare every record, minus its `elapsed`, with the
-    committed golden file line by line.
+    level's golden records line by line.
     """
     # the child finds ppbij in this checkout's src whether or not the
     # package is installed or PYTHONPATH is set
@@ -192,8 +203,7 @@ def _verify_all_matches_golden(level: str, *python_flags: str):
         record = json.loads(line)
         del record["elapsed"]
         records.append(json.dumps(record))
-    golden = (GOLDEN_DIR / f"verify_{level}.jsonl").read_text().splitlines()
-    assert records == golden
+    assert records == _golden_records(level)
     assert elapsed < 300.0
 
 

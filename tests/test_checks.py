@@ -1,6 +1,7 @@
 """The named identity checks and the suite runner."""
 
 import hashlib
+import json
 import pickle
 import sys
 from collections import Counter
@@ -368,6 +369,32 @@ class TestSuite:
     def test_small_level_covers_every_check(self):
         grids = load_grids()
         assert {e["check"] for e in grids["small"]} == set(CHECKS)
+
+    def test_levels_are_nested(self, monkeypatch, tmp_path):
+        # one list of entries, each naming the least level that runs it
+        grid = tmp_path / "grids.json"
+        grid.write_text(json.dumps([
+            {"check": "greene", "level": "full", "params": {"n": 3, "m": 3}},
+            {"check": "greene", "level": "small", "params": {"n": 1, "m": 1}},
+        ]))
+        monkeypatch.setattr(checks, "_GRIDS", str(grid))
+        assert load_grids() == {
+            "small": [{"check": "greene", "params": {"n": 1, "m": 1}}],
+            "full": [{"check": "greene", "params": {"n": 3, "m": 3}},
+                     {"check": "greene", "params": {"n": 1, "m": 1}}]}
+
+    @pytest.mark.parametrize("level", [
+        {}, {"level": None}, {"level": "huge"}, {"level": ["small"]}],
+        ids=["missing", "null", "unknown", "list"])
+    def test_entry_without_a_known_level(self, monkeypatch, tmp_path, level):
+        grid = tmp_path / "grids.json"
+        grid.write_text(json.dumps([
+            {"check": "greene", "level": "small", "params": {"n": 1, "m": 1}},
+            {"check": "gl", **level, "params": {"n": 1, "m": 1, "N": 2}}]))
+        monkeypatch.setattr(checks, "_GRIDS", str(grid))
+        with pytest.raises(ValueError,
+                           match="grid entry .*'gl'.*: unknown level"):
+            load_grids()
 
     def test_unknown_level(self):
         with pytest.raises(ValueError):

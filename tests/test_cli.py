@@ -22,6 +22,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def small_golden() -> list[tuple[dict, str]]:
+    """Each entry of the small level with its golden record: the line of
+    verify_full.jsonl at that entry.
+    """
+    grids = load_grids()
+    lines = (GOLDEN / "verify_full.jsonl").read_text().splitlines()
+    return [(entry, line) for entry, line in zip(grids["full"], lines)
+            if entry in grids["small"]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -490,9 +500,8 @@ class TestVerify:
         assert len(ran) == 1
 
     @pytest.mark.parametrize("entry, golden", [
-        pytest.param(entry, golden, id=entry["check"]) for entry, golden
-        in zip(load_grids()["small"],
-               (GOLDEN / "verify_small.jsonl").read_text().splitlines())])
+        pytest.param(entry, golden, id=entry["check"])
+        for entry, golden in small_golden()])
     def test_prints_the_record_of_verify_all(self, capsys, entry, golden):
         # the flags its spec names give verify NAME the record that
         # verify all writes for the grid entry
@@ -535,6 +544,28 @@ class TestUsage:
         code, out, _ = run(capsys, "stats", "--json")
         assert code == 0
         assert json.loads(out)["volume"] == 21
+
+
+    @pytest.mark.parametrize("argv, message", [
+        # a zero before a part, or an empty item, used to be dropped
+        (["verify", "gexp", "--shape", "3,0,1"], "bad shape '3,0,1'"),
+        (["enumerate", "shape", "--shape", "0,2", "--m", "2", "--list"],
+         "bad shape '0,2'"),
+        (["verify", "gexp", "--shape", "3,,1"], "bad shape '3,,1'"),
+        (["enumerate", "st", "--shape", "2,1,", "--n", "3"],
+         "bad shape '2,1,'"),
+        (["dalpha", "--alpha", "1,,1", "--n", "2", "--m", "2"],
+         "bad vector '1,,1'"),
+    ])
+    def test_bad_comma_list_is_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_empty_shape_is_the_empty_partition(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "shape", "--shape", "",
+                           "--m", "2")
+        assert code == 0 and out.strip() == "1"
 
 
 class TestStartUp:

@@ -22,6 +22,12 @@ class TestPartition:
         assert Partition([3, 2, 0, 0]) == Partition([3, 2])
         assert Partition([0, 0]) == Partition()
 
+    @pytest.mark.parametrize("parts", [[2, 0, 1], [0, 2], [3, 0, 0, 1]])
+    def test_rejects_a_zero_before_a_part(self, parts):
+        # only trailing zeros are dropped
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            Partition(parts)
+
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             Partition([1, 2])
