@@ -41,7 +41,7 @@ from operator import add
 
 from .bijection import greene_shape, phi, phi_inverse, \
     strict_tableau_to_word, word_to_strict_tableau
-from .core import NMatrix, Partition
+from .core import NMatrix, Partition, PlanePartition
 from .enumeration import column_strict_contents, compositions, \
     count_D_alpha, dominates, f_lambda, gen_matrix_images, \
     gen_partitions_in_box, gen_pp_box, gen_words
@@ -241,14 +241,15 @@ def _window_pair(table: VarTable, trunc: Truncation, window: int,
     both truncated, from one pass over the enlarged window.  `items`
     yields (weight, exponent, coefficient) for each term of each object
     of the enlarged window, weight being the least window that holds the
-    object.
+    object.  Equal items are tallied first, at C speed, so the loop runs
+    once per distinct item, not once per object.
     """
     base: Counter[tuple[int, ...]] = Counter()
     enlarged: Counter[tuple[int, ...]] = Counter()
-    for weight, exp, coef in items:
-        enlarged[exp] += coef
+    for (weight, exp, coef), times in Counter(items).items():
+        enlarged[exp] += coef * times
         if weight <= window:
-            base[exp] += coef
+            base[exp] += coef * times
     return (MultiPoly(table, trunc.kept_terms(table, base)),
             MultiPoly(table, trunc.kept_terms(table, enlarged)))
 
@@ -410,13 +411,20 @@ def _box_product(k: int, n: int, m: int) -> list:
             ("count", macmahon_count(k, n, m))]
 
 
+def _volume_poly(pps: Iterator[PlanePartition], shift: int = 0) -> MultiPoly:
+    """The volume generating polynomial of `pps` times q^shift, from each
+    member's `volume()` tallied at C speed.
+    """
+    return MultiPoly(_QT, {(volume + shift,): count for volume, count
+                           in Counter(map(PlanePartition.volume, pps)).items()})
+
+
 @_check(_flagged("k", "n", "m"), _box, _box_product)
 def check_macmahon_box(k: int, n: int, m: int) -> list:
     """Volume generating polynomial and cardinality of the boxed family
     against the classical product formulas.
     """
-    lhs_poly = MultiPoly(_QT, Counter(
-        (pp.volume(),) for pp in gen_pp_box(k, n, m)))
+    lhs_poly = _volume_poly(gen_pp_box(k, n, m))
     return [("q_poly", lhs_poly), ("count", sum(lhs_poly.terms.values()))]
 
 
@@ -430,8 +438,7 @@ def check_infinite_volume(N: int) -> list:
     """Coefficients of q^<=N of the unrestricted volume series against
     the infinite product, truncated.
     """
-    return [("series", MultiPoly(_QT, Counter(
-        (pp.volume(),) for pp in gen_pp_box(N, N, N, max_volume=N))))]
+    return [("series", _volume_poly(gen_pp_box(N, N, N, max_volume=N)))]
 
 
 def _rectangle_schur(k: int, n: int, m: int) -> list:
@@ -447,8 +454,7 @@ def check_qschur(k: int, n: int, m: int) -> list:
     appear.
     """
     shift = k * math.comb(n + 1, 2)
-    return [("q_poly", MultiPoly(_QT, Counter(
-        (pp.volume() + shift,) for pp in gen_pp_box(k, n, m))))]
+    return [("q_poly", _volume_poly(gen_pp_box(k, n, m), shift))]
 
 
 def _pair_product(n: int, m: int, N: int) -> list:
@@ -730,22 +736,21 @@ def check_dalpha(k: int, n: int, m: int, N_max: int) -> list:
     alphas_by_weight = {w: list(compositions(w, m)) for w in range(N_max + 1)}
 
     for alphas in alphas_by_weight.values():
-        for alpha in alphas:
+        ranked = [(alpha, tuple(sorted(alpha, reverse=True)))
+                  for alpha in alphas]
+        for alpha, sa in ranked:
             da = D[alpha]
-            sorted_a = tuple(sorted(alpha, reverse=True))
-            if da != D[sorted_a]:
+            if da != D[sa]:
                 sym_fail += 1
             if da != expansion[alpha]:
                 kostka_fail += 1
             prod = math.prod(_multisets(n, a) for a in alpha)
             if count_D_alpha(None, n, m, alpha) != prod:
                 product_fail += 1
-        for alpha in alphas:
-            for beta in alphas:
+        for alpha, sa in ranked:
+            for beta, sb in ranked:
                 # dominance is compared on the sorted vectors; by the
                 # symmetry law the counts only depend on those
-                sa = tuple(sorted(alpha, reverse=True))
-                sb = tuple(sorted(beta, reverse=True))
                 if sb != sa and dominates(sb, sa) and D[alpha] < D[beta]:
                     mono_fail += 1
 
@@ -787,40 +792,36 @@ def check_superadditivity(k: int, n: int, m: int,
     the sum transported through the descent-level-count bijection, where
     both statistics are linear in the matrix entries.
     """
-    pps = list(gen_pp_box(k, n, m))
-    mats = {pp: phi(pp, n, m) for pp in pps}
+    # each member's statistics and count matrix, read once for all pairs
+    members = [(pp, pp.corner_volume(), pp.volume(), pp.up_hook_volume(),
+                phi(pp, n, m).entries) for pp in gen_pp_box(k, n, m)]
     violations = 0
-    for p1 in pps:
-        for p2 in pps:
+    for p1, c1, v1, u1, d1 in members:
+        for p2, c2, v2, u2, d2 in members:
             s = p1.add(p2)
-            if s.corner_volume() < p1.corner_volume() + p2.corner_volume():
+            if s.corner_volume() < c1 + c2:
                 violations += 1
-            if s.volume() != p1.volume() + p2.volume():
+            if s.volume() != v1 + v2:
                 violations += 1
-            d1, d2 = mats[p1], mats[p2]
             merged = NMatrix._from_entries(tuple(
-                tuple(map(add, r1, r2))
-                for r1, r2 in zip(d1.entries, d2.entries)), n, m)
+                tuple(map(add, r1, r2)) for r1, r2 in zip(d1, d2)), n, m)
             t = phi_inverse(merged)
-            if t.up_hook_volume() < p1.up_hook_volume() + p2.up_hook_volume():
+            if t.up_hook_volume() < u1 + u2:
                 violations += 1
-            if t.corner_volume() < p1.corner_volume() + p2.corner_volume():
+            if t.corner_volume() < c1 + c2:
                 violations += 1
-    for pp in pps:
-        if pp.corner_volume() == 0 and pp:
+    for pp, corner, volume, up_hook, _ in members:
+        if corner == 0 and pp:
             violations += 1
-        if pp.up_hook_volume() < pp.corner_volume() or \
-                pp.volume() < pp.corner_volume():
+        if up_hook < corner or volume < corner:
             violations += 1
         for kk in scales:
             sc = pp.scale(kk)
-            if sc.corner_volume() != kk * pp.corner_volume():
+            if sc.corner_volume() != kk * corner:
                 violations += 1
-            if sc.up_hook_volume() != \
-                    pp.up_hook_volume() + (kk - 1) * pp.corner_volume():
+            if sc.up_hook_volume() != up_hook + (kk - 1) * corner:
                 violations += 1
-            if not (kk * pp.corner_volume() <= sc.up_hook_volume()
-                    <= kk * pp.up_hook_volume()):
+            if not kk * corner <= sc.up_hook_volume() <= kk * up_hook:
                 violations += 1
     return [("violations", violations, 0),
             (None, "up-hook superadditivity is taken under the "

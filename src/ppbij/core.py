@@ -9,7 +9,11 @@ Validation is a boundary.  Three kinds of value are built by the
 validating public constructors, which check their input with builtin
 passes and read each entry, and an `NMatrix`'s dimensions and a `Word`'s
 alphabet size, with `operator.index`, so that a float or a numeric
-string raises TypeError instead of being truncated:
+string raises TypeError instead of being truncated.  Canonical
+`PlanePartition` rows (each nonempty and positive, weakly decreasing,
+and no longer than the row above and entrywise at most it) are accepted
+by one loop over the rows; only other input is trimmed and diagnosed.
+The validated kinds are:
 
 - public, JSON and CLI input;
 - the inverse-map images, built by `bijection.phi_inverse` and
@@ -120,6 +124,21 @@ class PlanePartition:
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         raw = [tuple(map(index, row)) for row in rows]
+        # canonical rows, as every valid inverse-map image is, pass this
+        # one loop and are stored as given; the rest (zeros to trim, or a
+        # fault) go on to be trimmed and diagnosed
+        upper = None
+        for row in raw:
+            if not row or row[-1] <= 0 \
+                    or row != tuple(sorted(row, reverse=True)) \
+                    or upper is not None and (
+                        len(row) > len(upper) or any(map(lt, upper, row))):
+                break
+            upper = row
+        else:
+            self.rows = tuple(raw)
+            self._walk = None
+            return
         trimmed = []
         unsorted = False
         for row in raw:
@@ -209,14 +228,17 @@ class PlanePartition:
         statistic reduces this walk; the walk of the entries is built by
         the first call and returned by every later one.
         """
-        if labels is None:
-            if self._walk is None:
-                self._walk = self._descent_rows(self.rows)
-            return self._walk
         rows = self.rows
-        return tuple([
+        if labels is None:
+            if self._walk is not None:
+                return self._walk
+            labels = rows
+        walk = tuple([
             (*compress(label, map(gt, row, below)), *label[len(below):])
             for row, below, label in zip(rows, rows[1:] + ((),), labels)])
+        if labels is rows:
+            self._walk = walk
+        return walk
 
     def _descent_columns(self) -> tuple[tuple[int, ...], ...]:
         """For each row, the columns j of its descent cells."""

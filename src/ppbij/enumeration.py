@@ -52,8 +52,8 @@ def gen_pp_box(k: int, n: int, m: int, max_volume: int | None = None
                         ("max_volume", max_volume)):
         if value is not None and value < 0:
             raise ValueError(f"box {name}={value} is negative")
-    for rows in kernels.pp_box(k, n, m, max_volume):
-        yield PlanePartition._from_rows(rows)
+    yield from map(PlanePartition._from_rows,
+                   kernels.pp_box(k, n, m, max_volume))
 
 
 def gen_pp_shape(lam: Partition, m: int) -> Iterator[PlanePartition]:

@@ -88,14 +88,50 @@ def plane_partition_rows_reference(rows):
     return rows
 
 
+@st.composite
+def plane_partition_grids(draw):
+    """Suffix sums of a small 0..2 array: the rows of a plane partition
+    of at most 4 rows and entries <= 4, padded with zeros to a rectangle.
+    The zero tail makes rows of unequal length, and the zero cells repeat
+    the entry below them in a column.
+    """
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.integers(0, 2), min_size=n * k, max_size=n * k))
+    grid = [cells[i * k:(i + 1) * k] for i in range(n)]
+    rows = [[0] * k for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in reversed(range(k)):
+            rows[i][j] = min(4, grid[i][j]
+                             + max(rows[i + 1][j] if i + 1 < n else 0,
+                                   rows[i][j + 1] if j + 1 < k else 0))
+    return rows
+
+
+def plane_partitions():
+    """The plane partitions of `plane_partition_grids`."""
+    return plane_partition_grids().map(PlanePartition)
+
+
+def without_zeros(rows):
+    """A grid's rows with its zeros, and the rows left empty, dropped:
+    the canonical rows, as tuples.
+    """
+    return tuple(filter(None, (tuple(filter(None, row)) for row in rows)))
+
+
 # small arrays with a few negatives and zeros, mostly with sorted rows so
-# that every check, and acceptance, is reached often
+# that every check is reached often, and plane partitions with and
+# without their zero padding (as lists and as tuples), which the
+# constructor accepts in its first loop or after trimming
 small_values = st.sampled_from([4, 3, 3, 2, 2, 2, 1, 1, 1, 0, -1])
+canonical_rows = plane_partition_grids().map(without_zeros)
 small_arrays = st.lists(
     st.lists(small_values, max_size=5).map(
         lambda row: sorted(row, reverse=True)) |
     st.lists(small_values, max_size=5),
-    max_size=5)
+    max_size=5) | plane_partition_grids() | canonical_rows | \
+    canonical_rows.map(lambda rows: [list(row) for row in rows])
 
 
 class TestPlanePartitionValidation:
@@ -159,25 +195,6 @@ def descents_reference(pp):
         for j, v, u in zip(count(1), row, below):
             if v > u:
                 yield i, j, v
-
-
-@st.composite
-def plane_partitions(draw):
-    """Suffix sums of a small 0..2 array: a plane partition of at most
-    4 rows and entries <= 4, whose zero tail makes rows of unequal length
-    and whose zero cells repeat the entry below them in a column.
-    """
-    n = draw(st.integers(0, 4))
-    k = draw(st.integers(0, 4))
-    cells = draw(st.lists(st.integers(0, 2), min_size=n * k, max_size=n * k))
-    grid = [cells[i * k:(i + 1) * k] for i in range(n)]
-    rows = [[0] * k for _ in range(n)]
-    for i in reversed(range(n)):
-        for j in reversed(range(k)):
-            rows[i][j] = min(4, grid[i][j]
-                             + max(rows[i + 1][j] if i + 1 < n else 0,
-                                   rows[i][j + 1] if j + 1 < k else 0))
-    return PlanePartition(rows)
 
 
 class TestDescentWalk:
@@ -400,6 +417,19 @@ class TestConstructorsMatchReferences:
     def test_word(self, letters, m):
         expected = raised_or_value(word_reference, letters, m)
         got = raised_or_value(lambda *a: Word(*a).letters, letters, m)
+        assert got == expected
+
+    @pytest.mark.parametrize("rows", [
+        [[1.5]], [[2.0, 1]], [["2"]], [[2, "1"]], [[None]], [None],
+        [[True, True], [True]], [[2, False]], [[-1]], [[2, 1], [-1]],
+        [[2, -1]], [[2, 0, 1]], [[0, 1]], [[2, 1, 0], [1, 0], [0]],
+        [[1], [], [1]], [[], [1]], [[]], [[], []], [], [[1, 2]],
+        [[1], [2]], [[1], [1, 1]], [[2, 2], [0, 1]], [[3, 2], [2, 1], [1]],
+        ((3, 2), (2, 1), (1,)), [(3, 2), [2]], (range(3, 0, -1),),
+    ])
+    def test_plane_partition(self, rows):
+        expected = raised_or_value(plane_partition_rows_reference, rows)
+        got = raised_or_value(lambda r: PlanePartition(r).rows, rows)
         assert got == expected
 
 
