@@ -16,7 +16,7 @@ def bench_matrices(mod):
     weights = tuple(tuple(i + l - 1 for l in range(1, 5))
                     for i in range(1, 5))
     total = 0
-    for entries in mod.matrices_weighted(4, 4, weights, 8):
+    for _, entries in mod.matrices_weighted(4, 4, weights, 8):
         total += len(mod.phi_inverse_rows(entries, 4, 4))
     return total
 

@@ -404,10 +404,16 @@ def macmahon_count(k: int, n: int, m: int) -> int:
 
 
 def _box_product(k: int, n: int, m: int) -> list:
-    exps = _box_exponents(k, n, m)
+    """MacMahon's product with the factors its numerator and denominator
+    share cancelled: one (q^e, net multiplicity) factor per exponent.
+    """
+    net = Counter()
+    for a, b in _box_exponents(k, n, m):
+        net[a] -= 1
+        net[b] += 1
     return [("q_poly", product_series(
-                _QT, [(_q(a), -1) for a, _ in exps]
-                + [(_q(b), 1) for _, b in exps], Truncation(k * n * m))),
+                _QT, [(_q(e), mult) for e, mult in net.items() if mult],
+                Truncation(k * n * m))),
             ("count", macmahon_count(k, n, m))]
 
 
@@ -620,11 +626,12 @@ def check_corner_volume(k: int, n: int, m: int, N: int) -> list:
     MacMahon's count of the box with largest entry m-1.
     """
     box, exact = Counter(), Counter()
-    for pp in gen_pp_box(k, n, m):
-        exponent = (pp.corner_volume(),)
-        box[exponent] += 1
-        if pp.exact_base(k, n, m):
-            exact[exponent] += 1
+    for (volume, is_exact), times in Counter(
+            (pp.corner_volume(), pp.exact_base(k, n, m))
+            for pp in gen_pp_box(k, n, m)).items():
+        box[(volume,)] += times
+        if is_exact:
+            exact[(volume,)] += times
     lhs1, lhs2 = MultiPoly(_QT, box), MultiPoly(_QT, exact)
 
     lhs3, enlarged = _window_pair(_QT, Truncation(N), N, (

@@ -9,7 +9,9 @@ Validation is a boundary.  Three kinds of value are built by the
 validating public constructors, which check their input with builtin
 passes and read each entry, and an `NMatrix`'s dimensions and a `Word`'s
 alphabet size, with `operator.index`, so that a float or a numeric
-string raises TypeError instead of being truncated.  Canonical
+string raises TypeError instead of being truncated.  `PlanePartition`
+reads its entries with `operator.index` only when one builtin pass over
+their types finds an entry that is not an exact int.  Canonical
 `PlanePartition` rows (each nonempty and positive, weakly decreasing,
 and no longer than the row above and entrywise at most it) are accepted
 by one loop over the rows; only other input is trimmed and diagnosed.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import compress, count, zip_longest
+from itertools import chain, compress, count, zip_longest
 from operator import gt, index, lt, mul
 
 
@@ -123,7 +125,11 @@ class PlanePartition:
     __slots__ = ("rows", "_walk")
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        raw = [tuple(map(index, row)) for row in rows]
+        raw = list(map(tuple, rows))
+        # rows of exact ints, as every inverse-map image has, pass one type
+        # check over all entries; only other rows are read with index
+        if not set(map(type, chain.from_iterable(raw))) <= {int}:
+            raw = [tuple(map(index, row)) for row in raw]
         # canonical rows, as every valid inverse-map image is, pass this
         # one loop and are stored as given; the rest (zeros to trim, or a
         # fault) go on to be trimmed and diagnosed

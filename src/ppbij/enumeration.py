@@ -15,9 +15,10 @@ Every generator wraps what it builds without a second check (see
 `core`), except `gen_matrix_images`, whose images come from
 `bijection.phi_inverse` and are validated there.  The tests compare the
 wrapped members with what the validating constructors build.
-`gen_matrix_images` pairs each image with its matrix's weighted sum, so
-that a series check enumerates only its enlarged window and reads the
-base window off the pairs of weight at most the base bound.
+`gen_matrix_images` pairs each image with its matrix's weighted sum,
+which the window kernel streams with each matrix, so that a series check
+enumerates only its enlarged window and reads the base window off the
+pairs of weight at most the base bound.  No window is held as a list.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from operator import mul
 
 from . import kernels
 from .bijection import phi_inverse
@@ -87,9 +87,7 @@ def gen_matrix_images(n: int, m: int, bound: int,
     weight = weight or (lambda i, l: 1)
     grid = tuple(tuple(weight(i, l) for l in range(1, m + 1))
                  for i in range(1, n + 1))
-    flat = tuple(itertools.chain.from_iterable(grid))
-    for entries in kernels.matrices_weighted(n, m, grid, bound):
-        total = sum(map(mul, itertools.chain.from_iterable(entries), flat))
+    for total, entries in kernels.matrices_weighted(n, m, grid, bound):
         yield total, phi_inverse(NMatrix._from_entries(entries, n, m))
 
 

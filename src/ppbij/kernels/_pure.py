@@ -131,32 +131,33 @@ def strict_rows(bounds):
 
 
 def matrices_weighted(n, m, weights, bound):
-    """All n x m matrices of nonnegative integers with weighted entry sum
-    sum(d[i][l] * weights[i][l]) <= bound, as entry row-tuples.
+    """Yield (sum(d[i][l] * weights[i][l]), d) for every n x m matrix d
+    of nonnegative integers whose weighted entry sum is at most bound,
+    d as entry row-tuples.
 
     weights is an n x m grid of positive integers (pass all ones for a
     plain total-sum bound).  Deterministic row-major order, from the zero
     matrix: each next one adds one to the last entry that fits once the
-    entries after it are cleared.
+    entries after it are cleared.  The weights are checked on the first
+    step.
     """
     flat_w = [weights[i][j] for i in range(n) for j in range(m)]
     if any(w <= 0 for w in flat_w):
         raise ValueError("weights must be positive")
     if bound < 0:
-        return []
+        return
     entries = [0] * len(flat_w)
     rows = [slice(i * m, (i + 1) * m) for i in range(n)]
     left = bound  # bound minus the weighted sum of entries
-    results = []
     while True:
-        results.append(tuple([tuple(entries[r]) for r in rows]))
+        yield bound - left, tuple([tuple(entries[r]) for r in rows])
         pos = len(entries) - 1
         while pos >= 0 and flat_w[pos] > left:
             left += entries[pos] * flat_w[pos]
             entries[pos] = 0
             pos -= 1
         if pos < 0:
-            return results
+            return
         entries[pos] += 1
         left -= flat_w[pos]
 

@@ -45,7 +45,7 @@ def test_02_roundtrip_suites():
     t0 = time.perf_counter()
     for pp in gen_pp_box(3, 3, 3):
         assert phi_inverse(phi(pp, 3, 3)) == pp
-    for entries in kernels.matrices_weighted(3, 3, [[1] * 3] * 3, 5):
+    for _, entries in kernels.matrices_weighted(3, 3, [[1] * 3] * 3, 5):
         D = NMatrix(entries, 3, 3)
         assert phi(phi_inverse(D), 3, 3) == D
     assert time.perf_counter() - t0 < 5.0
@@ -82,7 +82,7 @@ def test_06_joint_distribution_and_slice():
     # independent derivation of the t=1 slice up to degree 4
     coeffs = [0] * 5
     hooks = [[i + l - 1 for l in range(1, 6)] for i in range(1, 6)]
-    for entries in kernels.matrices_weighted(5, 5, hooks, 4):
+    for _, entries in kernels.matrices_weighted(5, 5, hooks, 4):
         coeffs[phi_inverse(NMatrix(entries, 5, 5)).up_hook_volume()] += 1
     assert coeffs == [1, 1, 3, 6, 13]
     assert time.perf_counter() - t0 < 30.0

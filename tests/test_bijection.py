@@ -23,7 +23,7 @@ def gen_matrices(n, m, bound):
     """The n x m N-matrices with entry sum <= bound, from the matrix
     kernel.
     """
-    for entries in kernels.matrices_weighted(n, m, [[1] * m] * n, bound):
+    for _, entries in kernels.matrices_weighted(n, m, [[1] * m] * n, bound):
         yield NMatrix(entries, n, m)
 
 

@@ -5,6 +5,7 @@ import json
 import pickle
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,7 @@ from ppbij.cli import main
 from ppbij.core import Partition, PlanePartition
 from ppbij.enumeration import gen_matrix_images, gen_partitions_in_box, \
     gen_pp_box
-from ppbij.poly import MultiPoly, Truncation, VarTable
+from ppbij.poly import MultiPoly, Truncation, VarTable, product_series
 from ppbij.symfun import descent_monomial, family_vars, g_combinatorial, \
     g_refined
 
@@ -46,6 +47,17 @@ class TestIndividualChecks:
 
     def test_macmahon(self):
         assert check_macmahon_box(2, 2, 2).passed
+
+    def test_macmahon_product_matches_uncancelled_factors(self):
+        # the product side cancels the factors its numerator and
+        # denominator share; the whole factor list is the reference
+        for k, n, m in [*product(range(4), repeat=3), (4, 4, 4)]:
+            exps = checks._box_exponents(k, n, m)
+            reference = product_series(
+                checks._QT, [(checks._q(a), -1) for a, _ in exps]
+                + [(checks._q(b), 1) for _, b in exps], Truncation(k * n * m))
+            assert checks._box_product(k, n, m)[0] == \
+                ("q_poly", reference), (k, n, m)
 
     def test_macmahon_non_integer_count_fails(self, monkeypatch):
         # a factor of degree past the box volume leaves the truncated

@@ -1,5 +1,6 @@
 """Value types and the statistics defined on them."""
 
+from enum import IntEnum
 from itertools import count, product
 from operator import index
 
@@ -387,6 +388,21 @@ def word_reference(letters, m):
     return letters
 
 
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Index:
+    """An integer-like object that is no int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def raised_or_value(fn, *args):
     """fn(*args), or the type and message of what it raised."""
     try:
@@ -426,11 +442,24 @@ class TestConstructorsMatchReferences:
         [[1], [], [1]], [[], [1]], [[]], [[], []], [], [[1, 2]],
         [[1], [2]], [[1], [1, 1]], [[2, 2], [0, 1]], [[3, 2], [2, 1], [1]],
         ((3, 2), (2, 1), (1,)), [(3, 2), [2]], (range(3, 0, -1),),
+        [[Level.HIGH, Level.LOW], [Level.LOW]], [[Level.LOW, 2]],
+        [[Index(2), 1], [Index(1)]], [[Index(1), Index(2)]], [[Index(-1)]],
+        lambda: ((v for v in row) for row in [[2, 1], [1]]),
+        lambda: (iter(row) for row in [[1], [2]]),
+        [Cell(2, 1), Cell(1, 1)], [Cell(2, 0), [True]], [Cell(1, 2)],
+        [[2, 1], [1, 1.0]], [[3, 2.5, 1]],
     ])
     def test_plane_partition(self, rows):
-        expected = raised_or_value(plane_partition_rows_reference, rows)
-        got = raised_or_value(lambda r: PlanePartition(r).rows, rows)
+        # rows that a reading uses up (generators) come from a callable,
+        # called once per reading
+        make = rows if callable(rows) else lambda: rows
+        expected = raised_or_value(plane_partition_rows_reference, make())
+        got = raised_or_value(lambda r: PlanePartition(r).rows, make())
         assert got == expected
+        if expected[:1] not in ((TypeError,), (ValueError,)):
+            # stored as exact tuples of exact ints, whatever came in
+            assert {type(got), *map(type, got)} <= {tuple}
+            assert {type(v) for row in got for v in row} <= {int}
 
 
 class TestNMatrix:

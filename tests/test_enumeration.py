@@ -34,6 +34,7 @@ GENERATORS = [
     ("pp_box", lambda: gen_pp_box(2, 2, 2)),
     ("compositions", lambda: compositions(3, 3)),
     ("matrices_column_sums", lambda: gen_matrices_column_sums(2, (2, 1))),
+    ("matrix_images", lambda: gen_matrix_images(2, 2, 3)),
 ]
 
 
@@ -168,18 +169,19 @@ class TestShapeFillings:
 class TestMatricesAndWords:
     def test_matrix_count_unweighted(self):
         # entry sum <= 2 over 4 cells: C(4,0)+C(4,1)... via stars and bars
-        got = kernels.matrices_weighted(2, 2, [[1, 1], [1, 1]], 2)
+        ones = [[1, 1], [1, 1]]
+        got = [d for _, d in kernels.matrices_weighted(2, 2, ones, 2)]
         assert len(got) == sum(math.comb(4 + s - 1, s) for s in range(3))
         assert len(set(got)) == len(got)
 
     def test_matrix_weighted_bound(self):
-        for d in kernels.matrices_weighted(2, 2, [[1, 2], [2, 3]], 3):
+        for w, d in kernels.matrices_weighted(2, 2, [[1, 2], [2, 3]], 3):
             assert sum(d[i - 1][l - 1] * (i + l - 1)
-                       for i in range(1, 3) for l in range(1, 3)) <= 3
+                       for i in range(1, 3) for l in range(1, 3)) == w <= 3
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            kernels.matrices_weighted(1, 2, [[0, 1]], 3)
+            list(kernels.matrices_weighted(1, 2, [[0, 1]], 3))
         with pytest.raises(ValueError):
             list(gen_matrix_images(1, 2, 3, weight=lambda i, l: l - 1))
 
@@ -195,7 +197,7 @@ class TestMatricesAndWords:
                 (sum(d * w for row, wrow in zip(entries, grid)
                      for d, w in zip(row, wrow)),
                  phi_inverse(NMatrix(entries, n, m)))
-                for entries in kernels.matrices_weighted(n, m, grid, bound)]
+                for _, entries in kernels.matrices_weighted(n, m, grid, bound)]
             pairs = list(gen_matrix_images(n, m, bound, weight))
             assert pairs == expected
             assert all(w <= bound for w, _ in pairs)

@@ -46,9 +46,10 @@ def row_candidates_reference(bounds, max_sum):
 def matrices_weighted_reference(n, m, weights, bound):
     """The recursive window kernel the odometer replaced, kept as a
     reference: one call per entry, row-major, each entry taking every
-    value its weight lets into the bound left.  With no entries it lists
-    the empty matrix even at a negative bound, since the recursion ends
-    before reading the bound.
+    value its weight lets into the bound left.  Each matrix comes with
+    its weighted sum, the bound less the bound left.  With no entries it
+    lists the empty matrix even at a negative bound, since the recursion
+    ends before reading the bound.
     """
     flat_w = [weights[i][j] for i in range(n) for j in range(m)]
     if any(w <= 0 for w in flat_w):
@@ -59,9 +60,8 @@ def matrices_weighted_reference(n, m, weights, bound):
 
     def fill(pos, budget):
         if pos == cells:
-            results.append(
-                tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(n))
-            )
+            results.append((bound - budget, tuple(
+                tuple(entries[i * m:(i + 1) * m]) for i in range(n))))
             return
         w = flat_w[pos]
         for d in range(budget // w + 1):
@@ -239,7 +239,7 @@ def test_list_kernels_leave_no_reference_cycles():
     try:
         kernels.row_candidates((3, 2), 4)
         kernels.pp_shape((2, 1), 3)
-        kernels.matrices_weighted(2, 2, ((1, 1), (1, 2)), 3)
+        list(kernels.matrices_weighted(2, 2, ((1, 1), (1, 2)), 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -286,13 +286,19 @@ class TestMatricesWeighted:
             return []
         return matrices_weighted_reference(n, m, grid, bound)
 
+    def test_streams(self):
+        # the tracer times a generator function per resumption; a plain
+        # function that returned a generator would be timed as one call
+        # and counted with len()
+        assert inspect.isgeneratorfunction(kernels.matrices_weighted)
+
     def test_matches_reference_in_order(self):
         # zero rows or columns and negative bounds included
         for name, weight in self.GRIDS.items():
             for n, m, bound in product(range(4), range(4), range(-2, 7)):
                 grid = [[weight(i, l) for l in range(1, m + 1)]
                         for i in range(1, n + 1)]
-                assert kernels.matrices_weighted(n, m, grid, bound) == \
+                assert list(kernels.matrices_weighted(n, m, grid, bound)) == \
                     self.expected(n, m, grid, bound), (name, n, m, bound)
 
     @given(st.integers(0, 3).flatmap(lambda n: st.integers(0, 3).flatmap(
@@ -305,24 +311,25 @@ class TestMatricesWeighted:
     def test_matches_reference_on_random_weights(self, case):
         # at most C(17, 8) = 24,310 matrices, when every weight is 1
         n, m, grid, bound = case
-        assert kernels.matrices_weighted(n, m, grid, bound) == \
+        assert list(kernels.matrices_weighted(n, m, grid, bound)) == \
             self.expected(n, m, grid, bound)
 
     def test_negative_bound_lists_nothing(self):
         ones = [[1, 1], [1, 1]]
-        assert kernels.matrices_weighted(2, 2, ones, -1) == []
-        assert kernels.matrices_weighted(0, 2, [], -1) == []
-        assert kernels.matrices_weighted(2, 0, [[], []], -1) == []
+        assert list(kernels.matrices_weighted(2, 2, ones, -1)) == []
+        assert list(kernels.matrices_weighted(0, 2, [], -1)) == []
+        assert list(kernels.matrices_weighted(2, 0, [[], []], -1)) == []
 
     def test_zero_size_windows(self):
-        assert kernels.matrices_weighted(0, 3, [], 2) == [()]
-        assert kernels.matrices_weighted(2, 0, [[], []], 2) == [((), ())]
+        assert list(kernels.matrices_weighted(0, 3, [], 2)) == [(0, ())]
+        assert list(kernels.matrices_weighted(2, 0, [[], []], 2)) == \
+            [(0, ((), ()))]
 
     def test_wide_window(self):
         # 1,500 entries are far past the recursion limit the recursive
         # kernel ran into
-        assert kernels.matrices_weighted(1, 1500, [[1] * 1500], 0) == \
-            [((0,) * 1500,)]
+        assert list(kernels.matrices_weighted(1, 1500, [[1] * 1500], 0)) == \
+            [(0, ((0,) * 1500,))]
 
 
 class TestShapeKernel:
