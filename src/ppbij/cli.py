@@ -35,17 +35,18 @@ from .enumeration import count_D_alpha, gen_pp_box, gen_pp_shape, \
 # Two kinds of caps, lifted by --unsafe-no-caps.  Per-parameter caps
 # keep each work model cheap to evaluate: box sides, shape rows and widths
 # and --bound up to 5 (k is also the size of the Schur determinants),
-# degree windows and every --N up to 12, the --n of `enumerate words` and
-# of `verify` up to 10; gexp's variables, by default the shape's size, are
-# left to the work cap.  The word given to `map word` or `greene` has no
-# length cap: its letters are the digits 1-9, so each takes at most 9 steps.
+# degree windows (every --N, the --n of `enumerate st` and the weight of
+# dalpha's --alpha) up to 12, the --n of `enumerate words` and of `verify`
+# up to 10; gexp's variables, by default the shape's size, are left to the
+# work cap.  The word given to `map word` or `greene` has no length cap:
+# its letters are the digits 1-9, so each takes at most 9 steps.
 CAP_BOX = 5
 CAP_N = 12
 CAP_SMALL_N = 10
 # One work cap over the objects a command builds or the entries it
 # prints: the check's work model for `verify NAME`, its own count for each
 # other command.  It admits the 5^8 words of `enumerate words --n 8 --m 5`.
-# A unit costs 1-25 us, so an admitted command runs for at most about
+# A unit costs 0.5-21 us, so an admitted command runs for at most about
 # 8 s.
 CAP_WORK = 400_000
 
@@ -58,6 +59,12 @@ _VERIFY_OPTIONS = ("level", "workers", "k", "n", "m", "N", "mode",
 # The options that each direction of `map` reads.
 _MAP_OPTIONS = {"phi": ("pp", "input", "n", "m"),
                 "inv": ("matrix", "input"), "word": ("w", "m")}
+# The options that each family of `enumerate` reads; "dims" are the box
+# dimensions, given as positional arguments.
+_ENUMERATE_OPTIONS = {"box": ("dims", "stat", "gf", "list"),
+                      "shape": ("shape", "m", "stat", "gf", "list"),
+                      "st": ("shape", "n", "stat", "gf", "list"),
+                      "words": ("n", "m", "list")}
 
 
 class UsageError(Exception):
@@ -68,15 +75,15 @@ class DomainError(Exception):
     """Structurally valid input outside an operation's domain: exit 1."""
 
 
-def _check_caps(args, dims=(), N=None, n=None, work=None):
+def _check_caps(args, dims=(), sizes=(), work=None):
     """Raise UsageError for the first negative parameter, and for the
     first parameter over its cap unless --unsafe-no-caps was given.
-    `dims` are (name, value) pairs capped as box sides.  `work` is a
-    (what, count) pair: count() is the number of objects the command
-    builds, evaluated only once every parameter is within its cap.
+    `dims` are (name, value) pairs capped as box sides, and `sizes`
+    (name, value, cap) triples.  `work` is a (what, count) pair: count()
+    is the number of objects the command builds, evaluated only once
+    every parameter is within its cap.
     """
-    limits = [*((name, value, CAP_BOX) for name, value in dims),
-              ("N", N, CAP_N), ("n", n, CAP_SMALL_N)]
+    limits = [*((name, value, CAP_BOX) for name, value in dims), *sizes]
     for what, value, _ in limits:
         if value is not None and value < 0:
             raise UsageError(f"{what}={value} is negative; --unsafe-no-caps "
@@ -169,15 +176,20 @@ def _parse_word(args, command: str) -> Word:
 
 
 def _flags(names) -> str:
-    return ", ".join(f"--{name}" for name in names)
+    # the box dimensions of `enumerate` are its one positional option
+    return ", ".join("dimensions" if name == "dims" else f"--{name}"
+                     for name in names)
 
 
 def _refuse(args, command: str, options, takes) -> None:
     """Raise UsageError naming the `options` given to `command` that it
     does not take.
     """
-    ignored = [name for name in options
-               if name not in takes and getattr(args, name) is not None]
+    # a store_true flag reads False, and a nargs="*" positional [], when
+    # it is not given
+    ignored = [name for name in options if name not in takes
+               and getattr(args, name) not in (None, [])
+               and getattr(args, name) is not False]
     if ignored:
         raise UsageError(f"{command} takes no {_flags(ignored)}")
 
@@ -266,6 +278,9 @@ def cmd_enumerate(args) -> int:
     if args.gf is not None and args.family == "words":
         raise UsageError("enumerate words takes no --gf: the statistics "
                          "are of plane partitions")
+    _refuse(args, f"enumerate {args.family}",
+            dict.fromkeys(name for names in _ENUMERATE_OPTIONS.values()
+                          for name in names), _ENUMERATE_OPTIONS[args.family])
     # a plane partition lists as its rows, printed as JSON
     to_json, to_text = PlanePartition.to_json, json.dumps
     if args.family == "box":
@@ -296,7 +311,8 @@ def cmd_enumerate(args) -> int:
         # tableaux of at most len(lam) rows, so lam has at most
         # len(lam)^n of them
         _check_caps(args, dims=[("shape rows", len(lam)),
-                                ("shape width", lam.part(1))], N=args.n,
+                                ("shape width", lam.part(1))],
+                    sizes=[("n", args.n, CAP_N)],
                     work=(f"the strict tableaux of shape {lam.parts} (at "
                           f"most {len(lam)}^{args.n})",
                           lambda: len(lam) ** args.n))
@@ -304,7 +320,8 @@ def cmd_enumerate(args) -> int:
     elif args.family == "words":
         if args.n is None or args.m is None:
             raise UsageError("enumerate words needs --n and --m")
-        _check_caps(args, dims=[("m", args.m)], n=args.n,
+        _check_caps(args, dims=[("m", args.m)],
+                    sizes=[("n", args.n, CAP_SMALL_N)],
                     work=(f"the words of length {args.n} over {args.m} "
                           "letters", lambda: args.m ** args.n))
         items = gen_words(args.n, args.m)
@@ -349,7 +366,7 @@ def cmd_dalpha(args) -> int:
         built = (f"the {args.k}x{args.n}x{args.m} box (its plane partitions)",
                  lambda: macmahon_count(args.k, args.n, args.m))
     _check_caps(args, dims=[("k", args.k), ("n", args.n), ("m", args.m)],
-                N=sum(alpha), work=built)
+                sizes=[("alpha's weight", sum(alpha), CAP_N)], work=built)
     count = count_D_alpha(args.k, args.n, args.m, alpha)
     _emit(args, [str(count)],
           {"k": args.k, "n": args.n, "m": args.m,
@@ -409,7 +426,8 @@ def cmd_verify(args) -> int:
             lam = _parse_shape(args.shape)
             dims += [("shape rows", len(lam)), ("shape width", lam.part(1))]
             supplied[params["shape"].key] = list(lam.parts)
-        _check_caps(args, dims=dims, N=args.N, n=args.n,
+        _check_caps(args, dims=dims, sizes=[("N", args.N, CAP_N),
+                                            ("n", args.n, CAP_SMALL_N)],
                     work=(f"verify {args.name} (its work model)",
                           lambda: work(args.name, supplied)))
         results = [_run_entry({"check": args.name, "params": supplied})]

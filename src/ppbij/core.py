@@ -10,11 +10,10 @@ validating public constructors, which check their input with builtin
 passes and read each entry, and an `NMatrix`'s dimensions and a `Word`'s
 alphabet size, with `operator.index`, so that a float or a numeric
 string raises TypeError instead of being truncated.  `PlanePartition`
-reads its entries with `operator.index` only when one builtin pass over
-their types finds an entry that is not an exact int.  Canonical
-`PlanePartition` rows (each nonempty and positive, weakly decreasing,
-and no longer than the row above and entrywise at most it) are accepted
-by one loop over the rows; only other input is trimmed and diagnosed.
+has two cases: canonical rows of exact ints (each row nonempty and
+positive, weakly decreasing, and no longer than the row above and
+entrywise at most it) pass one loop and are stored as given; any other
+input is read with `operator.index`, trimmed and diagnosed in one pass.
 The validated kinds are:
 
 - public, JSON and CLI input;
@@ -126,61 +125,50 @@ class PlanePartition:
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         raw = list(map(tuple, rows))
-        # rows of exact ints, as every inverse-map image has, pass one type
-        # check over all entries; only other rows are read with index
-        if not set(map(type, chain.from_iterable(raw))) <= {int}:
-            raw = [tuple(map(index, row)) for row in raw]
-        # canonical rows, as every valid inverse-map image is, pass this
-        # one loop and are stored as given; the rest (zeros to trim, or a
-        # fault) go on to be trimmed and diagnosed
-        upper = None
-        for row in raw:
-            if not row or row[-1] <= 0 \
-                    or row != tuple(sorted(row, reverse=True)) \
-                    or upper is not None and (
-                        len(row) > len(upper) or any(map(lt, upper, row))):
-                break
-            upper = row
-        else:
-            self.rows = tuple(raw)
-            self._walk = None
-            return
+        self._walk = None
+        if set(map(type, chain.from_iterable(raw))) <= {int}:
+            # rows of exact ints that are canonical, as every inverse-map
+            # image is, pass this one loop and are stored as given
+            upper = None
+            for row in raw:
+                if not row or row[-1] <= 0 \
+                        or row != tuple(sorted(row, reverse=True)) \
+                        or upper is not None and (
+                            len(row) > len(upper)
+                            or any(map(lt, upper, row))):
+                    break
+                upper = row
+            else:
+                self.rows = tuple(raw)
+                return
+        # all other rows are read with index, trimmed and checked in turn
+        raw = [tuple(map(index, row)) for row in raw]
         trimmed = []
-        unsorted = False
         for row in raw:
-            if row != tuple(sorted(row, reverse=True)):
-                # a weakly decreasing row can go wrong only at its end (a
-                # negative entry, or zeros to trim), so only a row that
-                # increases somewhere is checked entry by entry
-                if min(row) < 0:
-                    raise ValueError("entries must be nonnegative")
-                n = len(row)
-                while row[n - 1] == 0:
-                    n -= 1
-                row = row[:n]
-                if 0 in row:
-                    raise ValueError("zero entry inside a row")
-                unsorted = True
-            elif row and row[-1] <= 0:
-                if row[-1] < 0:
-                    raise ValueError("entries must be nonnegative")
-                row = row[:row.index(0)]
+            if row and min(row) < 0:
+                raise ValueError("entries must be nonnegative")
+            n = len(row)
+            while n and not row[n - 1]:
+                n -= 1
+            row = row[:n]
+            if 0 in row:
+                raise ValueError("zero entry inside a row")
             trimmed.append(row)
         while trimmed and not trimmed[-1]:
             trimmed.pop()
         if not all(trimmed):
             raise ValueError("empty row above a nonempty row")
         rows = tuple(trimmed)
-        lengths = list(map(len, rows))
-        if any(map(lt, lengths, lengths[1:])):
-            raise ValueError("row lengths must weakly decrease")
-        if unsorted:
-            raise ValueError("rows must be weakly decreasing")
+        for upper, lower in zip(rows, rows[1:]):
+            if len(lower) > len(upper):
+                raise ValueError("row lengths must weakly decrease")
+        for row in rows:
+            if any(map(lt, row, row[1:])):
+                raise ValueError("rows must be weakly decreasing")
         for upper, lower in zip(rows, rows[1:]):
             if any(map(lt, upper, lower)):
                 raise ValueError("columns must be weakly decreasing")
         self.rows = rows
-        self._walk = None
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "PlanePartition":

@@ -205,6 +205,19 @@ class TestEnumerate:
         # an empty variable name printed `1 + ` for the box 1 1 1
         (["box", "1", "1", "1", "--gf", "", "--stat", "volume"],
          "--gf needs a variable name"),
+        # each family reads its own options: the box printed 20, the
+        # 2x2x2 count, and the words 4
+        (["box", "2", "2", "2", "--n", "3", "--m", "3", "--shape", "1"],
+         "enumerate box takes no --shape, --m, --n"),
+        (["box", "2", "2", "2", "--n", "0"], "enumerate box takes no --n"),
+        (["shape", "--shape", "2,1", "--m", "2", "--n", "1", "--list"],
+         "enumerate shape takes no --n"),
+        (["st", "2", "--shape", "2,1", "--n", "3", "--m", "2"],
+         "enumerate st takes no dimensions, --m"),
+        (["words", "5", "5", "5", "--n", "2", "--m", "2"],
+         "enumerate words takes no dimensions"),
+        (["words", "--n", "2", "--m", "2", "--shape", "1", "--list"],
+         "enumerate words takes no --shape"),
     ])
     def test_flags_it_would_ignore_are_refused(self, capsys, argv, message):
         code, out, err = run(capsys, "enumerate", *argv)
@@ -244,6 +257,21 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "box", "6", "2", "2")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # st's --n is capped at 12, as every --N, but named n
+        (["enumerate", "st", "--shape", "2,1", "--n", "13"],
+         "n=13 exceeds the cap 12"),
+        (["enumerate", "st", "--shape", "2,1", "--n", "-1"],
+         "n=-1 is negative"),
+        # 13 is the weight of --alpha, not a --N that dalpha does not take
+        (["dalpha", "--alpha", "7,6", "--n", "1", "--m", "2"],
+         "alpha's weight=13 exceeds the cap 12"),
+    ])
+    def test_cap_messages_name_what_they_cap(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err and "N=" not in err
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "box", "5", "5", "5"],

@@ -1,7 +1,7 @@
 """Value types and the statistics defined on them."""
 
 from enum import IntEnum
-from itertools import count, product
+from itertools import count, islice, product
 from operator import index
 
 import pytest
@@ -460,6 +460,23 @@ class TestConstructorsMatchReferences:
             # stored as exact tuples of exact ints, whatever came in
             assert {type(got), *map(type, got)} <= {tuple}
             assert {type(v) for row in got for v in row} <= {int}
+
+    def test_plane_partition_on_every_small_input(self):
+        # every r x c grid with r, c <= 3 and at most 6 cells, and rows
+        # of a few ragged lengths, over the entries -1..2: faults in
+        # several rows at once, whose order the reference fixes
+        lengths = [(c,) * r for r in range(4) for c in range(4) if r * c <= 6]
+        lengths += [(3, 1), (1, 3), (2, 0, 2), (0, 2), (1, 2, 1), (2, 3)]
+        inputs = 0
+        for lens in lengths:
+            for cells in product((-1, 0, 1, 2), repeat=sum(lens)):
+                entries = iter(cells)
+                rows = [list(islice(entries, n)) for n in lens]
+                assert raised_or_value(lambda r: PlanePartition(r).rows,
+                                       rows) == \
+                    raised_or_value(plane_partition_rows_reference, rows)
+                inputs += 1
+        assert inputs == 10_683
 
 
 class TestNMatrix:

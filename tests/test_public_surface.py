@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests."""
+"""Every public name of the package has a caller outside the tests, and
+the package holds no assert statement."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,12 @@ def test_every_public_name_has_a_caller_outside_tests():
 def test_test_references_are_defined():
     names = {node.name for _, node, _ in public_definitions(parse_callers())}
     assert set(TEST_REFERENCES) <= names
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements, so no check may rest on one
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
