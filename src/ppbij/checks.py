@@ -16,9 +16,11 @@ Series checks enumerate over a finite window (volume-bounded plane
 partitions, weight-bounded matrices or width-bounded shapes); the
 finiteness argument is enforced at run time by comparing the truncated
 output with that of the window enlarged by one step.  One pass over the
-enlarged window yields both: every object carries the least window that
-holds it, and those inside the base window are tallied twice
-(`_window_pair`).
+enlarged window yields both: every series side hands `_window_pair` one
+item per object (a matrix image, or a filling of a shape), carrying the
+least window that holds it, and those inside the base window are
+tallied twice.  `_window_pair` returns the side's tally and that window
+law.
 
 Each record also carries a SHA-256 digest of each side's values, so a
 fault that keeps every term count but changes a coefficient still shows
@@ -44,11 +46,11 @@ from .bijection import greene_shape, phi, phi_inverse, \
 from .core import NMatrix, Partition, PlanePartition
 from .enumeration import column_strict_contents, compositions, \
     count_D_alpha, dominates, f_lambda, gen_matrix_images, \
-    gen_partitions_in_box, gen_pp_box, gen_words
+    gen_partitions_in_box, gen_pp_box, gen_pp_shape, gen_words
 from .poly import MultiPoly, Truncation, VarTable, format_monomial, \
     product_series
-from .symfun import descent_monomial, family_vars, g_combinatorial, \
-    g_refined, ones, q_powers, schur_specialized, square_free_coefficient
+from .symfun import descent_monomial, family_vars, g_combinatorial, ones, \
+    q_powers, schur_specialized, square_free_coefficient
 
 
 class CheckResult(namedtuple(
@@ -178,8 +180,18 @@ class Check:
         self.__name__ = f"check_{name}"
 
     def arguments(self, args: tuple, kwargs: dict) -> dict:
-        """The keyword arguments of the work model and the sides."""
-        given = dict(zip((p.name for p in self.params), args), **kwargs)
+        """The keyword arguments of the work model and the sides.  A
+        parameter given twice, positionally and by keyword or by name and
+        by grid key, is a TypeError, as it is for a Python function.
+        """
+        given = dict(zip((p.name for p in self.params), args))
+        twice = [name for name in kwargs if name in given]
+        given.update(kwargs)
+        twice += [p.name for p in self.params
+                  if p.key != p.name and p.name in given and p.key in given]
+        if twice:
+            raise TypeError(f"check {self.name!r} got multiple values for "
+                            + ", ".join(twice))
         out = {}
         for p in self.params:
             value = given.pop(p.name, None)
@@ -235,23 +247,24 @@ def _q(power: int = 1) -> MultiPoly:
     return MultiPoly.var(_QT, "q", 1, power=power)
 
 
-def _window_pair(table: VarTable, trunc: Truncation, window: int,
-                 items) -> tuple[MultiPoly, MultiPoly]:
-    """A series check's enumerated side at `window` and at window + 1,
-    both truncated, from one pass over the enlarged window.  `items`
-    yields (weight, exponent, coefficient) for each term of each object
-    of the enlarged window, weight being the least window that holds the
-    object.  Equal items are tallied first, at C speed, so the loop runs
-    once per distinct item, not once per object.
+def _window_pair(label: str, table: VarTable, trunc: Truncation, window: int,
+                 items) -> list:
+    """A series check's enumerated side: its tally at `window` under
+    `label`, and the law that the tally at window + 1 equals it, both
+    truncated, from one pass over the enlarged window.  `items` yields
+    one (weight, exponent) per object of the enlarged window, weight
+    being the least window that holds the object.  Equal items are
+    tallied first, at C speed, so the loop runs once per distinct item,
+    not once per object.
     """
-    base: Counter[tuple[int, ...]] = Counter()
-    enlarged: Counter[tuple[int, ...]] = Counter()
-    for (weight, exp, coef), times in Counter(items).items():
-        enlarged[exp] += coef * times
+    base, enlarged = Counter(), Counter()
+    for (weight, exp), times in Counter(items).items():
+        enlarged[exp] += times
         if weight <= window:
-            base[exp] += coef * times
-    return (MultiPoly(table, trunc.kept_terms(table, base)),
-            MultiPoly(table, trunc.kept_terms(table, enlarged)))
+            base[exp] += times
+    lhs = MultiPoly(table, trunc.kept_terms(table, base))
+    return [(label, lhs), ("window_stable", lhs,
+                           MultiPoly(table, trunc.kept_terms(table, enlarged)))]
 
 
 # -- work models -------------------------------------------------------
@@ -481,10 +494,9 @@ def check_multivariate(n: int, m: int, N: int) -> list:
     over variable pairs; both sides truncated to total degree N.
     """
     table = VarTable([("x", n), ("z", m)])
-    lhs, enlarged = _window_pair(table, Truncation(N), N // 2, (
-        (w, descent_monomial(table, pp), 1)
+    return _window_pair("series", table, Truncation(N), N // 2, (
+        (w, descent_monomial(table, pp))
         for w, pp in gen_matrix_images(n, m, N // 2 + 1)))
-    return [("series", lhs), ("window_stable", lhs, enlarged)]
 
 
 @_check(_flagged("n", "m", "N"),
@@ -492,7 +504,8 @@ def check_multivariate(n: int, m: int, N: int) -> list:
 def check_cauchy_type(n: int, m: int, N: int) -> list:
     """Sum of the refined two-alphabet polynomials over shapes with at
     most n rows against the Cauchy-type product, truncated to total
-    degree N.
+    degree N.  Each filling of each shape, entries <= m, is tallied at
+    its descent monomial, so no polynomial is built per shape.
 
     Every monomial of a shape's polynomial has z-degree at least the
     number of columns and equal x- and z-degree, so shapes with first
@@ -500,11 +513,10 @@ def check_cauchy_type(n: int, m: int, N: int) -> list:
     enforces that cutoff empirically.
     """
     table = VarTable([("x", n), ("z", m)])
-    lhs, enlarged = _window_pair(table, Truncation(N), N // 2, (
-        (lam.part(1), exp, coef)
+    return _window_pair("series", table, Truncation(N), N // 2, (
+        (lam.part(1), descent_monomial(table, pp))
         for lam in gen_partitions_in_box(N // 2 + 1, n)
-        for exp, coef in g_refined(table, lam).terms.items()))
-    return [("series", lhs), ("window_stable", lhs, enlarged)]
+        for pp in gen_pp_shape(lam, m)))
 
 
 def _power_product(n: int, m: int, N: int) -> list:
@@ -517,15 +529,14 @@ def _power_product(n: int, m: int, N: int) -> list:
         lambda n, m, N: _fillings_work(N + 1, n, m), _power_product)
 def check_gl(n: int, m: int, N: int) -> list:
     """Sum of dual Grothendieck polynomials over shapes with at most n
-    rows against prod 1/(1-z_i)^n, truncated to total degree N.
+    rows against prod 1/(1-z_i)^n, truncated to total degree N.  Each
+    filling of each shape, entries <= m, is tallied at its column
+    counts, so no polynomial is built per shape.
     """
-    table = VarTable([("z", m)])
-    zs = family_vars(table, "z")
-    lhs, enlarged = _window_pair(table, Truncation(N), N, (
-        (lam.part(1), exp, coef)
+    return _window_pair("series", VarTable([("z", m)]), Truncation(N), N, (
+        (lam.part(1), pp.column_counts(m))
         for lam in gen_partitions_in_box(N + 1, n)
-        for exp, coef in g_combinatorial(table, lam, zs).terms.items()))
-    return [("series", lhs), ("window_stable", lhs, enlarged)]
+        for pp in gen_pp_shape(lam, m)))
 
 
 def _cell_product(n: int, m: int, N: int) -> list:
@@ -543,10 +554,9 @@ def check_uh_des(n: int, m: int, N: int) -> list:
     partitions with at most n rows and entries <= m, against the product
     over cells; q-degree truncated at N.
     """
-    lhs, enlarged = _window_pair(_TQT, Truncation(N, "q"), N, (
-        (w, (pp.descent_count(), pp.up_hook_volume()), 1)
+    return _window_pair("series", _TQT, Truncation(N, "q"), N, (
+        (w, (pp.descent_count(), pp.up_hook_volume()))
         for w, pp in gen_matrix_images(n, m, N + 1, weight=_hook)))
-    return [("series", lhs), ("window_stable", lhs, enlarged)]
 
 
 def _trace_product(N: int) -> list:
@@ -569,14 +579,14 @@ def check_equidistribution(N: int) -> list:
     """
     if N == 0:
         return [("series", MultiPoly.one(_TQT))]
-    lhs, enlarged = _window_pair(_TQT, Truncation(N, "q"), N, (
-        (w, (pp.descent_count(), pp.up_hook_volume()), 1)
-        for w, pp in gen_matrix_images(N + 1, N + 1, N + 1, weight=_hook)))
+    uh_side, window_law = _window_pair(
+        "uh_vs_product", _TQT, Truncation(N, "q"), N,
+        ((w, (pp.descent_count(), pp.up_hook_volume()))
+         for w, pp in gen_matrix_images(N + 1, N + 1, N + 1, weight=_hook)))
     vol_side = MultiPoly(_TQT, Counter(
         (pp.trace(), pp.volume())
         for pp in gen_pp_box(N, N, N, max_volume=N)))
-    return [("uh_vs_product", lhs), ("vol_vs_product", vol_side),
-            ("window_stable", lhs, enlarged)]
+    return [uh_side, ("vol_vs_product", vol_side), window_law]
 
 
 def _restricted_product(mode: str, bound: int, N: int) -> list:
@@ -597,10 +607,9 @@ def check_uh_restricted(mode: str, bound: int, N: int) -> list:
     n_rows = N if mode == "entries" else bound
     n_cols = bound if mode == "entries" else N
 
-    lhs, enlarged = _window_pair(_QT, Truncation(N), N, (
-        (w, (pp.up_hook_volume(),), 1)
+    return _window_pair("series", _QT, Truncation(N), N, (
+        (w, (pp.up_hook_volume(),))
         for w, pp in gen_matrix_images(n_rows, n_cols, N + 1, weight=_hook)))
-    return [("series", lhs), ("window_stable", lhs, enlarged)]
 
 
 def _corner_formulas(k: int, n: int, m: int, N: int) -> list:
@@ -633,13 +642,10 @@ def check_corner_volume(k: int, n: int, m: int, N: int) -> list:
         if is_exact:
             exact[(volume,)] += times
     lhs1, lhs2 = MultiPoly(_QT, box), MultiPoly(_QT, exact)
-
-    lhs3, enlarged = _window_pair(_QT, Truncation(N), N, (
-        (w, (pp.corner_volume(),), 1)
+    unbounded = _window_pair("unbounded_q3", _QT, Truncation(N), N, (
+        (w, (pp.corner_volume(),))
         for w, pp in gen_matrix_images(n, m, N + 1, weight=_level)))
-
-    return [("box_q1", lhs1), ("exact_q2", lhs2), ("unbounded_q3", lhs3),
-            ("window_stable", lhs3, enlarged),
+    return [("box_q1", lhs1), ("exact_q2", lhs2), *unbounded,
             ("q2_at_1", sum(lhs2.terms.values()))]
 
 

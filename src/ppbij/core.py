@@ -56,8 +56,10 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(index, parts))
         # trailing zeros are dropped; any other zero is out of order
-        while parts and not parts[-1]:
-            parts = parts[:-1]
+        n = len(parts)
+        while n and not parts[n - 1]:
+            n -= 1
+        parts = parts[:n]
         if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] < 0:

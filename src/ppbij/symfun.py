@@ -130,7 +130,9 @@ def g_refined(table: VarTable, lam: Partition) -> MultiPoly:
     n) and z (arity m): over plane partitions of shape lam with entries
     <= m, each descent cell (i,j) contributes x_i z_{value}.
 
-    Zero when lam has more than n rows.
+    Zero when lam has more than n rows.  A test reference: the tests
+    compare check_cauchy_type's tally of fillings with its sum over
+    shapes.
     """
     if len(lam) > table.arity("x"):
         return MultiPoly.zero(table)

@@ -243,7 +243,8 @@ def images_at(table, n, m, weight, stat):
 def shapes_at(table, n, poly):
     """lhs_at(width) for gl and cauchy_type, one enumeration per width,
     untruncated: the sum of poly(lam) over the shapes in the width x n
-    box.
+    box.  The checks tally each filling of each shape; this sums one
+    polynomial per shape.
     """
     def lhs_at(width):
         terms = Counter()
@@ -289,16 +290,43 @@ def test_window_pair_matches_two_enumerations(monkeypatch, check, args,
     one_pass = checks._window_pair
     uncapped = Truncation(sys.maxsize)
 
-    def record(table, trunc, base, items):
+    def record(label, table, trunc, base, items):
         items = list(items)
-        pairs.append((base, one_pass(table, uncapped, base, items)))
-        return one_pass(table, trunc, base, items)
+        (_, lhs), (_, _, enlarged) = one_pass(label, table, uncapped, base,
+                                              items)
+        pairs.append((base, (lhs, enlarged)))
+        return one_pass(label, table, trunc, base, items)
 
     monkeypatch.setattr(checks, "_window_pair", record)
     assert check(*args).passed
     assert pairs == [(window, (lhs_at(window), lhs_at(window + 1)))]
     base, enlarged = pairs[0][1]
     assert base.terms and base != enlarged
+
+
+# (check, arguments with a smaller and a larger window, the shapes in
+# the larger one)
+@pytest.mark.parametrize("check, smaller, larger, shapes", [
+    (check_gl, (2, 2, 3), (2, 2, 5), 28),
+    (check_cauchy_type, (2, 2, 4), (2, 2, 6), 15)])
+def test_shape_windows_build_no_polynomial_per_shape(monkeypatch, check,
+                                                     smaller, larger, shapes):
+    # gl and cauchy_type tally each filling of each shape: the validated
+    # polynomials they build do not grow with the shapes in the window
+    built = []
+    init = MultiPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    counts = []
+    for args in (smaller, larger):
+        del built[:]
+        assert check(*args).passed
+        counts.append(len(built))
+    assert counts[0] == counts[1] < shapes
 
 
 class TestResultObject:
@@ -370,6 +398,15 @@ class TestSuite:
                              ((1, 1, 2), {"bogus": 0})]:
             with pytest.raises(TypeError):
                 check_gl(*args, **kwargs)
+        # a value given twice: positionally and by keyword, or by name and
+        # by grid key
+        for check, args, kwargs, name in [
+                (check_gl, (1,), {"n": 2, "m": 2, "N": 3}, "n"),
+                (check_gexp, (), {"lam": Partition([2, 1]), "lambda": [1]},
+                 "lam")]:
+            with pytest.raises(TypeError, match=f"check '{check.name}' got "
+                                                f"multiple values for {name}"):
+                check(*args, **kwargs)
 
     def test_grids_reference_known_checks(self):
         grids = load_grids()

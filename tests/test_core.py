@@ -22,6 +22,8 @@ class TestPartition:
     def test_trailing_zeros_trimmed(self):
         assert Partition([3, 2, 0, 0]) == Partition([3, 2])
         assert Partition([0, 0]) == Partition()
+        # a long tail is trimmed with one slice, not one copy per zero
+        assert Partition([1] + [0] * 100_000).parts == (1,)
 
     @pytest.mark.parametrize("parts", [[2, 0, 1], [0, 2], [3, 0, 0, 1]])
     def test_rejects_a_zero_before_a_part(self, parts):

@@ -15,6 +15,8 @@ TEST_REFERENCES = {
                            "compare schur_specialized with",
     "g_jacobi_trudi": "Jacobi-Trudi determinant that tests compare "
                       "g_combinatorial with",
+    "g_refined": "per-shape two-alphabet polynomial that tests compare "
+                 "check_cauchy_type's tally of fillings with",
     "max_downright_path_weight": "path weights that tests compare the row "
                                  "lengths of phi_inverse images with",
 }
