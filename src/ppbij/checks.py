@@ -49,8 +49,8 @@ from .enumeration import column_strict_contents, compositions, \
     gen_partitions_in_box, gen_pp_box, gen_pp_shape, gen_words
 from .poly import MultiPoly, Truncation, VarTable, format_monomial, \
     product_series
-from .symfun import descent_monomial, family_vars, g_combinatorial, ones, \
-    q_powers, schur_specialized, square_free_coefficient
+from .symfun import descent_monomial, family_vars, ones, q_powers, \
+    schur_specialized
 
 
 class CheckResult(namedtuple(
@@ -681,14 +681,13 @@ def check_gexp(lam: Partition, n_max: int) -> list:
     """Plancherel-type expansion of the dual Grothendieck polynomial:
     the square-free coefficient over n variables equals the strict-
     tableau count f(n), for every n up to the shape's size (factorial
-    denominators never materialize).
+    denominators never materialize).  The polynomial weighs each filling
+    of lam with entries <= n by its column counts, so that coefficient
+    counts the fillings whose column counts are all 1.
     """
-    coefs = []
-    for n in range(0, n_max + 1):
-        table = VarTable([("x", n)])
-        coefs.append((f"n={n}", square_free_coefficient(
-            g_combinatorial(table, lam, family_vars(table, "x")))))
-    return coefs
+    return [(f"n={n}", sum(pp.column_counts(n) == (1,) * n
+                           for pp in gen_pp_shape(lam, n)))
+            for n in range(n_max + 1)]
 
 
 # each word builds a Word, its tableau and its Greene shape

@@ -50,12 +50,6 @@ CAP_SMALL_N = 10
 # 8 s.
 CAP_WORK = 400_000
 
-# The options of `verify`: `verify all` takes --level and --workers, and
-# `verify NAME` the flags its check's spec names.  They are listed here,
-# not gathered from the specs, because `verify all` only calls the values
-# of `checks.CHECKS`, which a tracer may have wrapped.
-_VERIFY_OPTIONS = ("level", "workers", "k", "n", "m", "N", "mode",
-                   "bound", "shape")
 # The options that each direction of `map` reads.
 _MAP_OPTIONS = {"phi": ("pp", "input", "n", "m"),
                 "inv": ("matrix", "input"), "word": ("w", "m")}
@@ -181,15 +175,23 @@ def _flags(names) -> str:
                      for name in names)
 
 
-def _refuse(args, command: str, options, takes) -> None:
-    """Raise UsageError naming the `options` given to `command` that it
-    does not take.
+# The parsed values that every command reads: the subcommand, its
+# handler, the two flags each subcommand has and the positional that
+# selects what `map`, `enumerate` and `verify` do.
+_SHARED = frozenset(("subcommand", "func", "json", "unsafe_no_caps",
+                     "direction", "family", "name"))
+
+
+def _refuse(args, command: str, takes) -> None:
+    """Raise UsageError naming the options given to `command` that it
+    does not take: every parsed value outside `takes` and _SHARED, in the
+    order the parser declares them.
     """
     # a store_true flag reads False, and a nargs="*" positional [], when
     # it is not given
-    ignored = [name for name in options if name not in takes
-               and getattr(args, name) not in (None, [])
-               and getattr(args, name) is not False]
+    ignored = [name for name, value in vars(args).items()
+               if name not in takes and name not in _SHARED
+               and value not in (None, []) and value is not False]
     if ignored:
         raise UsageError(f"{command} takes no {_flags(ignored)}")
 
@@ -206,15 +208,16 @@ def _emit(args, text_lines, json_obj):
 
 
 def cmd_map(args) -> int:
-    _refuse(args, f"map {args.direction}",
-            dict.fromkeys(name for names in _MAP_OPTIONS.values()
-                          for name in names), _MAP_OPTIONS[args.direction])
+    _refuse(args, f"map {args.direction}", _MAP_OPTIONS[args.direction])
     if args.direction == "phi":
         pp = _parse_pp(_read_input(args, "pp"))
         if args.n is None or args.m is None:
             raise UsageError("map phi needs --n and --m")
-        _check_caps(args, work=("the n x m count matrix (its entries)",
-                                lambda: max(args.n, 0) * max(args.m, 0)))
+        # n and m have no cap of their own: the work cap bounds them
+        _check_caps(args, sizes=[("n", args.n, math.inf),
+                                 ("m", args.m, math.inf)],
+                    work=("the n x m count matrix (its entries)",
+                          lambda: args.n * args.m))
         try:
             D = phi(pp, args.n, args.m)
         except ValueError as exc:
@@ -240,9 +243,10 @@ def cmd_map(args) -> int:
 def cmd_stats(args) -> int:
     pp = _parse_pp(_read_input(args, "pp"))
     m = args.m if args.m is not None else pp.max_entry()
+    _check_caps(args, sizes=[("m", args.m, math.inf)],
+                work=("the column counts (m of them)", lambda: m))
     if m < pp.max_entry():
         raise DomainError("entry exceeds --m")
-    _check_caps(args, work=("the column counts (m of them)", lambda: m))
     table = [
         ("shape", list(pp.shape().parts)),
         ("volume", pp.volume()),
@@ -278,9 +282,7 @@ def cmd_enumerate(args) -> int:
     if args.gf is not None and args.family == "words":
         raise UsageError("enumerate words takes no --gf: the statistics "
                          "are of plane partitions")
-    _refuse(args, f"enumerate {args.family}",
-            dict.fromkeys(name for names in _ENUMERATE_OPTIONS.values()
-                          for name in names), _ENUMERATE_OPTIONS[args.family])
+    _refuse(args, f"enumerate {args.family}", _ENUMERATE_OPTIONS[args.family])
     # a plane partition lists as its rows, printed as JSON
     to_json, to_text = PlanePartition.to_json, json.dumps
     if args.family == "box":
@@ -404,7 +406,7 @@ def _render_result(r: CheckResult, as_json: bool) -> str:
 
 def cmd_verify(args) -> int:
     if args.name == "all":
-        _refuse(args, "verify all", _VERIFY_OPTIONS, ("level", "workers"))
+        _refuse(args, "verify all", ("level", "workers"))
         if args.workers is not None and args.workers < 1:
             raise UsageError("--workers must be at least 1")
         results = run_all(args.level or "small", workers=args.workers or 1)
@@ -412,7 +414,7 @@ def cmd_verify(args) -> int:
         if args.name not in CHECKS:
             raise UsageError(f"unknown check {args.name!r}")
         params = {p.flag: p for p in CHECKS[args.name].params if p.flag}
-        _refuse(args, f"verify {args.name}", _VERIFY_OPTIONS, params)
+        _refuse(args, f"verify {args.name}", params)
         missing = sorted(flag for flag, p in params.items()
                          if getattr(args, flag) is None and p.default is None)
         if missing:
@@ -447,11 +449,11 @@ def cmd_verify(args) -> int:
 def _map_arguments(p):
     p.add_argument("direction", choices=["phi", "inv", "word"])
     p.add_argument("--pp", help="plane partition as inline JSON rows")
-    p.add_argument("--matrix", help="matrix as inline JSON")
     p.add_argument("--input", help="path to a JSON input file")
-    p.add_argument("--w", help="word as a digit string")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
+    p.add_argument("--matrix", help="matrix as inline JSON")
+    p.add_argument("--w", help="word as a digit string")
 
 
 def _stats_arguments(p):
@@ -465,8 +467,8 @@ def _enumerate_arguments(p):
     p.add_argument("dims", type=int, nargs="*",
                    help="box dimensions k n m (family 'box')")
     p.add_argument("--shape", help="partition, comma-separated")
-    p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
     p.add_argument("--stat", choices=sorted(_STATS))
     p.add_argument("--gf", metavar="VAR",
                    help="print the generating polynomial of --stat")

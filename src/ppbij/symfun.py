@@ -6,6 +6,12 @@ monomial MultiPoly (the constant 1, a power q^a, or a formal variable),
 so the same code produces combinatorial polynomials, principal
 specializations, and mixed lists like (1^{n-1}, z_1, ..., z_m).  The
 VarTable is always passed first, so empty value lists need no special case.
+
+The checks use the value lists, the determinant `schur_specialized` and
+`descent_monomial`, and tally their fillings themselves.  The sums over
+fillings (`schur_combinatorial`, `g_combinatorial`, `g_refined`) and
+`g_jacobi_trudi` are references that the tests compare the determinants
+and the checks' tallies with.
 """
 
 from __future__ import annotations
@@ -149,14 +155,3 @@ def g_jacobi_trudi(table: VarTable, lam: Partition,
     return _dual_jacobi_trudi(
         table, lam, lambda column: ones(table, column - 1) + list(zs))
 
-
-def square_free_coefficient(p: MultiPoly) -> int:
-    """The coefficient of x_1 x_2 ... x_n (the full square-free monomial
-    of the x family, every other variable at exponent zero).
-    """
-    table = p.table
-    exp = [0] * table.nvars
-    sl = table.family_slice("x")
-    for i in range(sl.start, sl.stop):
-        exp[i] = 1
-    return p.coefficient(tuple(exp))

@@ -305,14 +305,16 @@ def test_window_pair_matches_two_enumerations(monkeypatch, check, args,
 
 
 # (check, arguments with a smaller and a larger window, the shapes in
-# the larger one)
+# the larger one; for gexp, the numbers of variables up to its size)
 @pytest.mark.parametrize("check, smaller, larger, shapes", [
     (check_gl, (2, 2, 3), (2, 2, 5), 28),
-    (check_cauchy_type, (2, 2, 4), (2, 2, 6), 15)])
+    (check_cauchy_type, (2, 2, 4), (2, 2, 6), 15),
+    (check_gexp, (Partition([1]),), (Partition([3, 2]),), 6)])
 def test_shape_windows_build_no_polynomial_per_shape(monkeypatch, check,
                                                      smaller, larger, shapes):
-    # gl and cauchy_type tally each filling of each shape: the validated
-    # polynomials they build do not grow with the shapes in the window
+    # gl, cauchy_type and gexp tally each filling of each shape: the
+    # validated polynomials they build do not grow with the shapes in the
+    # window, or with gexp's numbers of variables
     built = []
     init = MultiPoly.__init__
 

@@ -151,6 +151,16 @@ class TestMap:
         assert code == 2 and out == ""
         assert message in err
 
+    def test_a_flag_no_table_lists_is_refused(self):
+        # the candidates are the parsed values, not a list of known flags
+        args = argparse.Namespace(
+            subcommand="map", direction="phi", pp="[[1]]", input=None, n=1,
+            m=1, matrix=None, w=None, json=False, unsafe_no_caps=False,
+            func=cli.cmd_map, new_flag=3)
+        with pytest.raises(cli.UsageError, match="map phi takes no "
+                                                 "--new_flag"):
+            cli.cmd_map(args)
+
     def test_json_roundtrips_schema(self, capsys):
         code, out, _ = run(capsys, "map", "phi", "--pp", GOLDEN_PP,
                            "--n", "3", "--m", "4", "--json")
@@ -293,6 +303,11 @@ class TestEnumerate:
         ["verify", "multivariate", "--n", "-1", "--m", "2", "--N", "3",
          "--unsafe-no-caps"],
         ["enumerate", "words", "--n", "-2", "--m", "3"],
+        ["map", "phi", "--pp", "[]", "--n", "-1", "--m", "1"],
+        ["map", "phi", "--pp", "[[1]]", "--n", "1", "--m", "-1"],
+        ["map", "phi", "--pp", "[[1]]", "--n", "1", "--m", "-1",
+         "--unsafe-no-caps"],
+        ["stats", "--pp", "[]", "--m", "-1"],
         # the work of gl and cauchy_type is the plane partitions of the
         # enlarged window's box; each of these ran past 30 s uncapped
         ["verify", "gl", "--n", "4", "--m", "4", "--N", "8"],

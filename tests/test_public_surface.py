@@ -13,6 +13,9 @@ CALLERS = (PACKAGE, ROOT / "perfbench", ROOT / "benchmarks")
 TEST_REFERENCES = {
     "schur_combinatorial": "content-tally Schur polynomial that tests "
                            "compare schur_specialized with",
+    "g_combinatorial": "per-shape dual Grothendieck polynomial that tests "
+                       "compare g_jacobi_trudi, schur_specialized and "
+                       "check_gl's tally of fillings with",
     "g_jacobi_trudi": "Jacobi-Trudi determinant that tests compare "
                       "g_combinatorial with",
     "g_refined": "per-shape two-alphabet polynomial that tests compare "

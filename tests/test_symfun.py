@@ -8,8 +8,7 @@ from ppbij.core import Partition
 from ppbij.enumeration import gen_partitions_in_box
 from ppbij.poly import MultiPoly, VarTable
 from ppbij.symfun import family_vars, g_combinatorial, g_jacobi_trudi, \
-    g_refined, ones, q_powers, schur_combinatorial, schur_specialized, \
-    square_free_coefficient
+    g_refined, ones, q_powers, schur_combinatorial, schur_specialized
 
 ZT3 = VarTable([("z", 3)])
 
@@ -182,14 +181,3 @@ class TestRefined:
             expect_terms[tuple(exp)] = c
         assert top == MultiPoly(table, expect_terms)
 
-
-class TestSquareFree:
-    def test_picks_unit_exponents(self):
-        table = VarTable([("x", 2)])
-        x1, x2 = family_vars(table, "x")
-        p = 3 * x1 * x2 + x1 * x1 + 5 * x2
-        assert square_free_coefficient(p) == 3
-
-    def test_missing_monomial(self):
-        table = VarTable([("x", 2)])
-        assert square_free_coefficient(MultiPoly.one(table)) == 0
